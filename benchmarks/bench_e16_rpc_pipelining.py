@@ -1,21 +1,23 @@
 """E16 — Multiplexed pipelined RPC: window sweep and kill-mid-pipeline.
 
-PR 6's client answered the paper's per-process deployment with a blocking
-connection pool: one request per connection at a time, concurrency only by
+PR 6's client answered the paper's per-process deployment with blocking
+sockets: one request per connection at a time, concurrency only by
 burning a thread per in-flight RPC (``parallel_map`` fan-out, 8 workers).
-PR 7 replaces it with a reactor client — one event loop owns every
+PR 7 replaced it with a reactor client — one event loop owns every
 connection, outbound frames coalesce into single writes, and up to
 ``net_max_inflight`` requests share a connection pipelined, demuxed by
-request id.  E16 quantifies that swap and guards it:
+request id.  The blocking client is gone from ``repro.net``; E16 keeps a
+minimal blocking reference of its own (:class:`BlockingReferenceClient`)
+so the swap stays quantified and guarded:
 
 * **Part A — per-op overhead sweep.**  The same request batch runs through
-  the PR 6 pooled-blocking client (sequentially, then with the transfer
-  engine's 8-way thread fan-out) and through the reactor at windows
+  the blocking reference (sequentially, then with PR 6's transfer-engine
+  idiom, an 8-way thread fan-out) and through the reactor at windows
   1/8/64 and 1 or 2 connections per server, against a real spawned server
   process.  The ``ping`` workload is the pure protocol floor — no
   payload, so per-op time *is* framing + scheduling + wire overhead, the
-  thing this PR optimises.  Asserted: the window-64 reactor beats the
-  pooled fan-out baseline **>= 2x** on that floor (measured ~3x), window
+  thing PR 7 optimised.  Asserted: the window-64 reactor beats the
+  blocking fan-out baseline **>= 2x** on that floor (measured ~3x), window
   8 already beats it, and deepening the window never hurts.  An 8 KiB
   payload row shows the data-plane view, where serialisation dilutes the
   win (asserted not-worse, not 2x).
@@ -30,8 +32,11 @@ request id.  E16 quantifies that swap and guards it:
 
 from __future__ import annotations
 
+import concurrent.futures as cf
+import itertools
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -42,7 +47,8 @@ import pytest
 from repro.bench import ResultTable
 from repro.core import BlobSeerConfig
 from repro.core.deployment import make_deployment
-from repro.net import PooledRpcClient, RpcClient
+from repro.net import RpcClient, wire
+from repro.net.frames import FrameDecoder, encode_frame
 
 from _helpers import KB, save_table
 
@@ -51,7 +57,7 @@ from _helpers import KB, save_table
 BATCH_N = 192
 #: Best-of rounds per client: per-op floors, not scheduler noise.
 ROUNDS = 3
-#: The acceptance bar: pipelined window-64 vs the PR 6 pooled 8-way
+#: The acceptance bar: pipelined window-64 vs the blocking 8-way
 #: fan-out, on the protocol-floor workload (measured ~2.7-3.6x locally).
 MIN_PIPELINE_SPEEDUP = 2.0
 
@@ -88,12 +94,48 @@ def _workload(name: str):
     return [("put", {"key": f"e16-{i}", "value": payload}) for i in range(BATCH_N)]
 
 
+class BlockingReferenceClient:
+    """The baseline: one request in flight per socket, one socket per
+    calling thread — no pool bound, no retry sweeps, no failover list."""
+
+    def __init__(self, address) -> None:
+        self.address = address
+        self._local = threading.local()
+        self._socks: list = []
+        self._ids = itertools.count(1)
+
+    def call(self, method: str, params=None):
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            sock = socket.create_connection(self.address, timeout=30.0)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = self._local.conn = (sock, FrameDecoder())
+            self._socks.append(sock)
+        sock, decoder = conn
+        message = {"id": next(self._ids), "method": method, "params": wire.encode(params or {})}
+        sock.sendall(encode_frame(message))
+        while True:
+            data = sock.recv(256 * 1024)
+            if not data:
+                raise ConnectionError("server closed the connection")
+            for response in decoder.feed(data):
+                if response.get("error") is not None:
+                    raise wire.decode(response["error"])
+                return wire.decode(response.get("result"))
+
+    def __enter__(self) -> "BlockingReferenceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for sock in self._socks:
+            sock.close()
+
+
 def _run_batch(client, calls, fanout: int) -> None:
     if fanout > 1:
         # The PR 6 transfer engine's idiom: one blocking call per worker
-        # thread, 8 workers — concurrency by thread, not by pipeline.
-        import concurrent.futures as cf
-
+        # thread, 8 workers — concurrency by thread, not by pipeline.  The
+        # workers (and their sockets) are per batch; BATCH_N amortises it.
         with cf.ThreadPoolExecutor(fanout) as pool:
             list(pool.map(lambda call: client.call(call[0], call[1]), calls))
     elif isinstance(client, RpcClient):
@@ -115,7 +157,7 @@ def _best_per_op_us(client, calls, fanout: int = 1) -> float:
 
 def run_window_sweep() -> ResultTable:
     table = ResultTable(
-        "E16a: per-op RPC cost — pooled-blocking vs pipelined reactor "
+        "E16a: per-op RPC cost — blocking reference vs pipelined reactor "
         f"({BATCH_N}-request batches, best of {ROUNDS})",
         ["client", "workload", "per_op_us", "ops_per_s", "connections"],
     )
@@ -124,8 +166,8 @@ def run_window_sweep() -> ResultTable:
         for workload_name in ("ping", "put-8KiB"):
             calls = _workload(workload_name)
             for label, make, fanout in (
-                ("pooled-sequential", lambda: PooledRpcClient([address]), 1),
-                ("pooled-fanout8", lambda: PooledRpcClient([address]), 8),
+                ("blocking-sequential", lambda: BlockingReferenceClient(address), 1),
+                ("blocking-fanout8", lambda: BlockingReferenceClient(address), 8),
                 ("reactor-w1", lambda: RpcClient([address], max_inflight=1), 1),
                 ("reactor-w8", lambda: RpcClient([address], max_inflight=8), 1),
                 ("reactor-w64", lambda: RpcClient([address], max_inflight=64), 1),
@@ -158,7 +200,7 @@ def run_window_sweep() -> ResultTable:
 
 
 @pytest.mark.benchmark(group="e16-rpc-pipelining")
-def test_e16_pipelining_beats_pooled_blocking(benchmark, results_dir):
+def test_e16_pipelining_beats_blocking_fanout(benchmark, results_dir):
     table = benchmark.pedantic(run_window_sweep, rounds=1, iterations=1)
     save_table(results_dir, "e16_window_sweep", table)
     rows = {
@@ -167,16 +209,16 @@ def test_e16_pipelining_beats_pooled_blocking(benchmark, results_dir):
             table.column("client"), table.column("workload"), table.column("per_op_us")
         )
     }
-    speedup = rows[("pooled-fanout8", "ping")] / rows[("reactor-w64", "ping")]
-    print(f"\n  protocol-floor speedup, reactor-w64 vs pooled-fanout8: {speedup:.2f}x")
+    speedup = rows[("blocking-fanout8", "ping")] / rows[("reactor-w64", "ping")]
+    print(f"\n  protocol-floor speedup, reactor-w64 vs blocking-fanout8: {speedup:.2f}x")
     # The PR 7 acceptance bar: >= 2x lower per-op overhead at window >= 8.
     assert speedup >= MIN_PIPELINE_SPEEDUP
     # Window 8 already beats thread fan-out; deepening never hurts.
-    assert rows[("reactor-w8", "ping")] < rows[("pooled-fanout8", "ping")]
+    assert rows[("reactor-w8", "ping")] < rows[("blocking-fanout8", "ping")]
     assert rows[("reactor-w64", "ping")] <= rows[("reactor-w1", "ping")]
     # Data-plane ops are serialisation-bound — the pipeline win dilutes
     # but must never invert (slack for scheduler noise).
-    assert rows[("reactor-w64", "put-8KiB")] <= rows[("pooled-fanout8", "put-8KiB")] * 1.25
+    assert rows[("reactor-w64", "put-8KiB")] <= rows[("blocking-fanout8", "put-8KiB")] * 1.25
     # The connections-per-server knob really opens extra sockets.
     connections = dict(zip(table.column("client"), table.column("connections")))
     assert connections["reactor-w64-c2"] == 2
@@ -194,7 +236,6 @@ def _kill_config() -> BlobSeerConfig:
         chunk_size=APPEND_SIZE,
         replication=2,
         transport="network",
-        net_pipelined=True,
         # A killed process should cost milliseconds, not retry sweeps.
         net_max_retries=0,
         net_backoff_base=0.01,

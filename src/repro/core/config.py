@@ -11,7 +11,7 @@ by a config plus a workload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping
 
 from .errors import InvalidConfigError
@@ -74,18 +74,6 @@ class BlobSeerConfig:
     journal_enabled: bool = False
     #: Auto-snapshot a shard journal every N records (0 = never compact).
     journal_snapshot_interval: int = 0
-    #: Auto-snapshot once the WAL tail exceeds this many bytes (0 = off);
-    #: complements the record-count trigger for deployments whose record
-    #: sizes vary widely.
-    journal_snapshot_max_bytes: int = 0
-    #: Auto-snapshot once the oldest un-compacted record is this many
-    #: seconds old (0 = off) — bounds replay time on quiet shards.
-    journal_snapshot_max_age: float = 0.0
-    #: File-backed journals retain this many snapshots (plus the WAL
-    #: segments newer than the oldest of them) for point-in-time debugging;
-    #: older snapshots and segments are garbage-collected.  1 keeps only
-    #: the latest.
-    journal_keep_snapshots: int = 1
     #: Stream each shard's journal to a hot standby on its ring successor,
     #: which serves the shard's blobs while it is down (needs >= 2 shards
     #: and ``journal_enabled``).
@@ -114,11 +102,6 @@ class BlobSeerConfig:
     #: Deletes tolerated on a provider before its filter is rebuilt from
     #: the live key set (bits cannot be cleared in place).
     filters_rebuild_threshold: int = 64
-    #: Blobs migrated per batch during ``add_shard``/``remove_shard``
-    #: rebalances; only the current batch is commit-frozen, so the per-blob
-    #: retry window stays small on large shards.  0 = freeze the whole
-    #: migrating set for the entire rebalance (the pre-pacing behaviour).
-    migration_batch_blobs: int = 16
     #: How client operations reach the services: ``"direct"`` composes the
     #: deployment in-process (the default); ``"network"`` spawns each
     #: service as its own process and talks framed RPC over TCP
@@ -138,17 +121,11 @@ class BlobSeerConfig:
     #: Frame codec: ``"json"`` always works; ``"msgpack"`` needs the
     #: optional msgpack package and fails fast when it is absent.
     net_codec: str = "json"
-    #: ``True`` (default) uses the multiplexed reactor client: requests
-    #: pipeline over shared per-server connections.  ``False`` selects the
-    #: PR 6 blocking pool (one socket per in-flight request) — kept as the
-    #: measured baseline for the pipelining benchmarks.
-    net_pipelined: bool = True
     #: Most requests kept in flight per pipelined connection; a fan-out
     #: beyond the window queues on the client side.
     net_max_inflight: int = 64
     #: Connections the reactor may open per server address (opened on
-    #: demand as load arrives); the blocking pool reuses the same knob as
-    #: its max *idle* sockets per address (floored at 8 by deployments).
+    #: demand as load arrives).
     net_connections_per_server: int = 1
     #: Seconds between ``ClusterMonitor`` health probes of the networked
     #: coordinator shards and their standbys.
@@ -184,58 +161,14 @@ class BlobSeerConfig:
         return replace(self, **kwargs)
 
     def to_dict(self) -> Dict[str, Any]:
-        """Flatten the configuration to a plain dict (for reports/logs)."""
-        d: Dict[str, Any] = {
-            "num_data_providers": self.num_data_providers,
-            "num_metadata_providers": self.num_metadata_providers,
-            "num_version_managers": self.num_version_managers,
-            "chunk_size": self.chunk_size,
-            "replication": self.replication,
-            "placement_strategy": self.placement_strategy,
-            "dht_virtual_nodes": self.dht_virtual_nodes,
-            "metadata_replication": self.metadata_replication,
-            "persistent_storage": self.persistent_storage,
-            "journal_enabled": self.journal_enabled,
-            "journal_snapshot_interval": self.journal_snapshot_interval,
-            "journal_snapshot_max_bytes": self.journal_snapshot_max_bytes,
-            "journal_snapshot_max_age": self.journal_snapshot_max_age,
-            "journal_keep_snapshots": self.journal_keep_snapshots,
-            "shard_failover": self.shard_failover,
-            "scrub_interval": self.scrub_interval,
-            "scrub_batch_size": self.scrub_batch_size,
-            "scrub_max_batches_per_tick": self.scrub_max_batches_per_tick,
-            "scrub_backpressure_rpc_rate": self.scrub_backpressure_rpc_rate,
-            "filters_enabled": self.filters_enabled,
-            "filters_target_fp": self.filters_target_fp,
-            "filters_rebuild_threshold": self.filters_rebuild_threshold,
-            "migration_batch_blobs": self.migration_batch_blobs,
-            "transport": self.transport,
-            "net_host": self.net_host,
-            "net_connect_timeout": self.net_connect_timeout,
-            "net_request_timeout": self.net_request_timeout,
-            "net_max_retries": self.net_max_retries,
-            "net_backoff_base": self.net_backoff_base,
-            "net_backoff_max": self.net_backoff_max,
-            "net_codec": self.net_codec,
-            "net_pipelined": self.net_pipelined,
-            "net_max_inflight": self.net_max_inflight,
-            "net_connections_per_server": self.net_connections_per_server,
-            "net_heartbeat_interval": self.net_heartbeat_interval,
-            "net_failover_suspect_after": self.net_failover_suspect_after,
-            "net_standby_per_shard": self.net_standby_per_shard,
-            "obs_tracing": self.obs_tracing,
-            "obs_slow_op_threshold": self.obs_slow_op_threshold,
-            "obs_metrics_interval": self.obs_metrics_interval,
-        }
+        """Flatten the configuration to a plain dict (for reports/logs).
+
+        Every field appears once; the nested client knobs are flattened
+        under a ``client.`` prefix.
+        """
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "client"}
         d.update(
-            {
-                "client.metadata_cache": self.client.metadata_cache,
-                "client.metadata_cache_capacity": self.client.metadata_cache_capacity,
-                "client.vectored_metadata": self.client.vectored_metadata,
-                "client.prefetch_chunks": self.client.prefetch_chunks,
-                "client.write_buffer_chunks": self.client.write_buffer_chunks,
-                "client.metadata_negative_cache": self.client.metadata_negative_cache,
-            }
+            {f"client.{f.name}": getattr(self.client, f.name) for f in fields(self.client)}
         )
         return d
 
@@ -250,8 +183,7 @@ class BlobSeerConfig:
         top_kwargs = {
             key: value for key, value in values.items() if not key.startswith("client.")
         }
-        client = ClientConfig(**client_kwargs) if client_kwargs else ClientConfig()
-        return BlobSeerConfig(client=client, **top_kwargs)
+        return BlobSeerConfig(client=ClientConfig(**client_kwargs), **top_kwargs)
 
 
 def validate_config(config: BlobSeerConfig) -> None:
@@ -286,12 +218,6 @@ def validate_config(config: BlobSeerConfig) -> None:
         )
     if config.journal_snapshot_interval < 0:
         raise InvalidConfigError("journal_snapshot_interval must be >= 0")
-    if config.journal_snapshot_max_bytes < 0:
-        raise InvalidConfigError("journal_snapshot_max_bytes must be >= 0")
-    if config.journal_snapshot_max_age < 0:
-        raise InvalidConfigError("journal_snapshot_max_age must be >= 0")
-    if config.journal_keep_snapshots < 1:
-        raise InvalidConfigError("journal_keep_snapshots must be >= 1")
     if config.scrub_interval < 0:
         raise InvalidConfigError("scrub_interval must be >= 0")
     if config.scrub_batch_size < 1:
@@ -306,8 +232,6 @@ def validate_config(config: BlobSeerConfig) -> None:
         )
     if config.filters_rebuild_threshold < 1:
         raise InvalidConfigError("filters_rebuild_threshold must be >= 1")
-    if config.migration_batch_blobs < 0:
-        raise InvalidConfigError("migration_batch_blobs must be >= 0")
     if config.transport not in ("direct", "network"):
         raise InvalidConfigError(
             f"unknown transport {config.transport!r}; expected 'direct' or 'network'"

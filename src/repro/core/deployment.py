@@ -58,7 +58,6 @@ class BlobSeerDeployment:
         self.version_manager = ShardedVersionManager(
             num_shards=self.config.num_version_managers,
             virtual_nodes=self.config.dht_virtual_nodes,
-            migration_batch_blobs=self.config.migration_batch_blobs,
         )
         self.provider_manager = ProviderManager(
             pool=self.provider_pool, config=self.config, seed=seed

@@ -64,6 +64,11 @@ from .metadata.segment_tree import WriteRecord
 from .types import BlobId, BlobInfo, SnapshotInfo, Version, WriteTicket
 from .version_manager import VersionManager, WriteState
 
+#: Blobs frozen per migration batch during ``add_shard``/``remove_shard``;
+#: only the current batch is commit-frozen, so the per-blob retry window
+#: stays small on large shards.
+MIGRATION_BATCH_BLOBS = 16
+
 
 @runtime_checkable
 class VersionCoordinator(Protocol):
@@ -157,16 +162,9 @@ class ShardedVersionManager:
         self,
         num_shards: int = 1,
         virtual_nodes: int = 32,
-        migration_batch_blobs: int = 16,
     ) -> None:
         if num_shards < 1:
             raise InvalidConfigError("num_shards must be >= 1")
-        if migration_batch_blobs < 0:
-            raise InvalidConfigError("migration_batch_blobs must be >= 0")
-        #: Blobs frozen per migration batch during shard add/remove; 0 means
-        #: the legacy behaviour of freezing every moved blob for the whole
-        #: rebalance.
-        self.migration_batch_blobs = migration_batch_blobs
         #: The routing source of truth: epoch + ring + per-shard status.
         self.membership = CoordinatorMembership(
             [f"vm-{index:03d}" for index in range(num_shards)],
@@ -468,19 +466,17 @@ class ShardedVersionManager:
     def _stream_moves(self, moves: "List[Tuple[int, BlobId, int]]") -> int:
         """Stream ``(src shard, blob, dest shard)`` moves, pacing the freeze.
 
-        With ``migration_batch_blobs == 0`` (or few enough moves) this is
-        the legacy behaviour: every moved blob's commit path is frozen for
-        the whole rebalance.  Otherwise blobs are streamed in bounded
-        batches — only the current batch is frozen, so commits to the rest
-        of the moving set keep flowing — followed by one freeze-all
-        catch-up pass that replays just the per-blob record deltas (see
-        :meth:`_stream_blob_delta`), which is short because each blob only
-        accumulated the commits that raced its unfrozen window.  Returns
-        total records streamed (catch-up deltas included).
+        At most :data:`MIGRATION_BATCH_BLOBS` moves stream in one pass with
+        every moved blob's commit path frozen throughout.  More are
+        streamed in bounded batches — only the current batch is frozen, so
+        commits to the rest of the moving set keep flowing — followed by
+        one freeze-all catch-up pass that replays just the per-blob record
+        deltas (see :meth:`_stream_blob_delta`), which is short because
+        each blob only accumulated the commits that raced its unfrozen
+        window.  Returns total records streamed (catch-up deltas included).
         """
-        batch_size = self.migration_batch_blobs
         total = 0
-        if batch_size <= 0 or len(moves) <= batch_size:
+        if len(moves) <= MIGRATION_BATCH_BLOBS:
             self.membership.set_migrating([blob_id for _, blob_id, _ in moves])
             for src_index, blob_id, dest_index in moves:
                 count, _ = self._stream_blob(
@@ -489,8 +485,8 @@ class ShardedVersionManager:
                 total += count
             return total
         applied: Dict[BlobId, set] = {}
-        for start in range(0, len(moves), batch_size):
-            chunk = moves[start : start + batch_size]
+        for start in range(0, len(moves), MIGRATION_BATCH_BLOBS):
+            chunk = moves[start : start + MIGRATION_BATCH_BLOBS]
             self.membership.set_migrating([blob_id for _, blob_id, _ in chunk])
             self.migration_batches += 1
             for src_index, blob_id, dest_index in chunk:

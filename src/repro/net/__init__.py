@@ -17,13 +17,12 @@ Layers, bottom up:
   msgpack) with request ids, so one connection pipelines many requests;
 * :mod:`repro.net.wire` — value serialisation for the protocol's types
   (chunk/node keys, tickets, plans, tree nodes) and its exceptions;
-* :mod:`repro.net.rpc` — the RPC clients behind one blocking surface:
-  the multiplexed reactor client (``RpcClient`` — an asyncio event loop
-  on a daemon thread pipelines up to ``net_max_inflight`` requests per
-  connection, demuxed by request id into per-request futures) and the
-  bounded blocking pool (``PooledRpcClient``, the pre-reactor baseline);
-  both do connect/request timeouts and retry-over-a-server-list failover
-  with exponential backoff (the msgbox idiom);
+* :mod:`repro.net.rpc` — the one RPC client, ``RpcClient``: an asyncio
+  event loop on a daemon thread pipelines up to ``net_max_inflight``
+  requests per connection, demuxed by request id into per-request
+  futures, behind a blocking ``call`` with connect/request timeouts and
+  retry-over-a-server-list failover with exponential backoff (the msgbox
+  idiom);
 * :mod:`repro.net.server` — the four server roles (data provider,
   metadata store node, coordinator shard, provider manager) plus the
   ``python -m repro.net.server`` entrypoint;
@@ -41,7 +40,7 @@ Layers, bottom up:
 from .chaos import ChaosEvent, ChaosSchedule
 from .deployment import ProcessDeployment
 from .monitor import ClusterMonitor, MonitorEvent
-from .rpc import NetworkError, PooledRpcClient, RpcClient, RpcFuture
+from .rpc import NetworkError, RpcClient, RpcFuture
 from .transport import NetworkTransport
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "MonitorEvent",
     "NetworkError",
     "NetworkTransport",
-    "PooledRpcClient",
     "ProcessDeployment",
     "RpcClient",
     "RpcFuture",

@@ -55,7 +55,7 @@ from .proxies import (
     RemoteKeyValueStore,
     RemoteProviderManager,
 )
-from .rpc import PooledRpcClient, RpcClient
+from .rpc import RpcClient
 from .transport import NetworkTransport
 
 #: Seconds to wait for a server's ready handshake before declaring the
@@ -75,10 +75,10 @@ class ProcessDeployment:
         monitor: bool = True,
     ) -> None:
         self.config = config or BlobSeerConfig()
-        self.host = host or getattr(self.config, "net_host", "127.0.0.1")
+        self.host = host or self.config.net_host
         self._journal_dir = journal_dir
         self._owns_journal_dir = False
-        if self._journal_dir is None and getattr(self.config, "journal_enabled", False):
+        if self._journal_dir is None and self.config.journal_enabled:
             # ``make_deployment`` only passes the config, so a journal-backed
             # networked deployment derives its WAL directory here; owned
             # directories are removed again on close.
@@ -122,9 +122,7 @@ class ProcessDeployment:
     @property
     def with_standbys(self) -> bool:
         """Whether this deployment hosts standby processes (needs a WAL)."""
-        return bool(
-            getattr(self.config, "net_standby_per_shard", 0) > 0 and self._journal_dir
-        )
+        return bool(self.config.net_standby_per_shard > 0 and self._journal_dir)
 
     @property
     def processes(self) -> List[subprocess.Popen]:
@@ -195,30 +193,17 @@ class ProcessDeployment:
         return handshake
 
     def _rpc(self, *addresses: Tuple[str, int]) -> RpcClient:
-        common = dict(
+        client = RpcClient(
+            list(addresses),
             connect_timeout=self.config.net_connect_timeout,
             request_timeout=self.config.net_request_timeout,
             max_retries=self.config.net_max_retries,
             backoff_base=self.config.net_backoff_base,
             backoff_max=self.config.net_backoff_max,
             codec=self.config.net_codec,
+            max_inflight=self.config.net_max_inflight,
+            connections_per_server=self.config.net_connections_per_server,
         )
-        if getattr(self.config, "net_pipelined", True):
-            client = RpcClient(
-                list(addresses),
-                max_inflight=self.config.net_max_inflight,
-                connections_per_server=self.config.net_connections_per_server,
-                **common,
-            )
-        else:
-            # PR 6 idiom, kept selectable as the pipelining baseline.  The
-            # idle cap is floored at 8 so a worker-pool fan-out can still
-            # park all its sockets between rounds.
-            client = PooledRpcClient(
-                list(addresses),
-                max_idle_per_server=max(8, self.config.net_connections_per_server),
-                **common,
-            )
         self._rpcs.append(client)
         return client
 
@@ -292,11 +277,11 @@ class ProcessDeployment:
     def _start_monitor(self) -> None:
         monitor = ClusterMonitor(
             membership=self.version_manager.membership,
-            interval=getattr(self.config, "net_heartbeat_interval", 0.25),
-            suspect_after=getattr(self.config, "net_failover_suspect_after", 3),
+            interval=self.config.net_heartbeat_interval,
+            suspect_after=self.config.net_failover_suspect_after,
             codec=self.config.net_codec,
             broadcast=self._broadcast_membership,
-            metrics_interval=getattr(self.config, "obs_metrics_interval", 0.0),
+            metrics_interval=self.config.obs_metrics_interval,
         )
         for index in range(self.config.num_version_managers):
             monitor.watch(

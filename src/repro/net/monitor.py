@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.membership import CoordinatorMembership, ShardStatus
-from .rpc import PooledRpcClient
+from .rpc import RpcClient
 
 __all__ = ["ClusterMonitor", "MonitorEvent"]
 
@@ -50,7 +50,7 @@ class _Target:
     role: str
     index: int
     address: Tuple[str, int]
-    client: PooledRpcClient
+    client: RpcClient
     misses: int = 0
     down: bool = False
     last_seen: Optional[float] = None
@@ -107,13 +107,15 @@ class ClusterMonitor:
         self.takeovers = 0
 
     # -- target management ----------------------------------------------------------
-    def _probe_client(self, address: Tuple[str, int]) -> PooledRpcClient:
+    def _probe_client(
+        self, address: Tuple[str, int], min_request_timeout: float = 0.2
+    ) -> RpcClient:
         # Tight timeouts, no internal retry: the K-miss counter *is* the
         # retry policy, and a probe must never outlive its interval by much.
-        return PooledRpcClient(
+        return RpcClient(
             [address],
             connect_timeout=max(0.05, self.interval),
-            request_timeout=max(0.2, 4 * self.interval),
+            request_timeout=max(min_request_timeout, 4 * self.interval),
             max_retries=0,
             codec=self.codec,
         )
@@ -233,11 +235,10 @@ class ClusterMonitor:
         if standby_addr is None:
             self._record("takeover_failed", target, "no standby deployed")
             return
-        client = self._probe_client(tuple(standby_addr))
+        # Generous timeout relative to probes: the standby may replay a
+        # WAL tail before it starts serving.
+        client = self._probe_client(tuple(standby_addr), min_request_timeout=10.0)
         try:
-            # Generous timeout relative to probes: the standby may replay a
-            # WAL tail before it starts serving.
-            client.request_timeout = max(10.0, client.request_timeout)
             client.call("take_over", {"state": state})
         except Exception as exc:  # noqa: BLE001
             self._record("takeover_failed", target, str(exc))

@@ -1,35 +1,27 @@
 """Multiplexed pipelined RPC: an event-loop reactor behind a blocking surface.
 
-Two client implementations share one wire protocol and one synchronous
-``call`` surface:
+:class:`RpcClient` is the only RPC client: a process-wide asyncio
+**reactor** (one event loop on a daemon thread) owns a small number of
+connections per server address (``connections_per_server``), keeps up to
+``max_inflight`` requests pipelined on each, coalesces outbound frames
+queued in the same loop tick into a single ``write()``, and demultiplexes
+responses by request id into per-request futures that blocking callers
+wait on.  ``submit()`` returns an :class:`RpcFuture` without blocking, so
+a whole fan-out (every replica of a chunk push, every first hop of a
+batch's fetches) goes onto the wire before anything waits — no worker
+thread per request.  Heartbeat probes and the standby's journal puller use
+the same client through its blocking ``call``.
 
-* :class:`RpcClient` — the default since PR 7: a process-wide asyncio
-  **reactor** (one event loop on a daemon thread) owns a small number of
-  connections per server address (``connections_per_server``), keeps up to
-  ``max_inflight`` requests pipelined on each, coalesces outbound frames
-  queued in the same loop tick into a single ``write()``, and demultiplexes
-  responses by request id into per-request futures that blocking callers
-  wait on.  ``submit()`` returns an :class:`RpcFuture` without blocking, so
-  a whole fan-out (every replica of a chunk push, every first hop of a
-  batch's fetches) goes onto the wire before anything waits — no worker
-  thread per request.
-* :class:`PooledRpcClient` — PR 6's blocking client, kept as the measured
-  baseline (``benchmarks/bench_e16_rpc_pipelining.py``) and selectable via
-  ``BlobSeerConfig(net_pipelined=False)``: one socket per in-flight
-  request, checked out of a per-address pool.  The pool is now *bounded*:
-  at most ``max_idle_per_server`` idle sockets are kept per address and
-  surplus connections are closed on check-in instead of accumulating.
-
-Failure handling is the msgbox idiom in both: a call walks the server
-list — connect, send, wait for the matching response; on a
-connection-level failure move to the next address; when a full sweep
-fails, back off exponentially and sweep again, up to ``max_retries``
-sweeps, then raise :class:`NetworkError`.  An *application* error decoded
-from a well-formed response is raised immediately without retry.  When a
-pipelined connection dies with N requests in flight, exactly those N
-futures fail with a connection error and each blocked caller resumes its
-own sweep on the next address — nothing is lost, nothing completes twice
-(a late or duplicate response finds no pending id and is dropped).
+Failure handling is the msgbox idiom: a call walks the server list —
+connect, send, wait for the matching response; on a connection-level
+failure move to the next address; when a full sweep fails, back off
+exponentially and sweep again, up to ``max_retries`` sweeps, then raise
+:class:`NetworkError`.  An *application* error decoded from a well-formed
+response is raised immediately without retry.  When a pipelined connection
+dies with N requests in flight, exactly those N futures fail with a
+connection error and each blocked caller resumes its own sweep on the next
+address — nothing is lost, nothing completes twice (a late or duplicate
+response finds no pending id and is dropped).
 
 Network time is attributed **per request**: each request carries its own
 ``(connect, send, wait)`` stamps on the future (``RpcFuture.timing()``),
@@ -38,12 +30,14 @@ requests that waited for it*, ``send`` is client-side queueing plus the
 write, and ``wait`` is wire plus server time.  For drain-based callers the
 stamps also land in a **keyed timing ledger**: every request gets a
 process-unique timing key, charged by whichever thread resolves the
-future.  :func:`drain_timings` with no arguments returns and resets the
-current thread's charges (PR 6 semantics); :func:`timing_scope` collects
-the keys of every request submitted on a thread inside its block and
-drains *exactly those* — regardless of which thread resolved them — so
-interleaved ``call_many`` batches can no longer attribute a round's
-seconds to the wrong op (the PR 9 `OpTiming` drift fix).
+future.  Each caller uses one drain style: a round that knows its request
+set opens a :func:`timing_scope`, which collects the keys of every request
+submitted on the thread inside its block and drains *exactly those* —
+regardless of which thread resolved them — so interleaved ``call_many``
+batches cannot attribute a round's seconds to the wrong op; a caller that
+runs its requests on its own thread (the batch engine's
+``take_net_timings``) calls :func:`drain_timings` with no arguments, which
+returns and resets the charges the current thread made.
 
 Requests additionally carry the active :class:`~repro.obs.trace.TraceContext`
 (when one is set) as a compact frame-envelope pair, and the reactor feeds
@@ -59,7 +53,6 @@ import socket
 import threading
 import time
 from concurrent.futures import Future as ConcurrentFuture
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -70,7 +63,6 @@ from .frames import FrameDecoder, FrameError, encode_frame
 
 __all__ = [
     "NetworkError",
-    "PooledRpcClient",
     "RpcClient",
     "RpcFuture",
     "TimingScope",
@@ -102,10 +94,10 @@ def _jittered(delay: float) -> float:
 #
 # Each request gets a process-unique *timing key* at submit time; the thread
 # that resolves its future charges the stamps under that key.  Two drain
-# styles coexist:
+# styles, one per kind of caller:
 #
-# * ``drain_timings()`` — PR 6 compatibility: pop every charge made *by this
-#   thread* (keyed or anonymous) since the last drain.
+# * ``drain_timings()`` — pop every charge made *by this thread* since the
+#   last drain (the batch engine's ``take_net_timings``).
 # * ``drain_timings(keys)`` / ``TimingScope.drain()`` — pop exactly the named
 #   keys, wherever they were charged.  Rounds that know their request set use
 #   this, so a concurrent batch resolving futures on a shared worker thread
@@ -114,8 +106,6 @@ def _jittered(delay: float) -> float:
 _ledger_lock = threading.Lock()
 #: timing key -> (charging thread ident, connect, send, wait)
 _keyed_charges: Dict[int, Tuple[int, float, float, float]] = {}
-#: thread ident -> [connect, send, wait] for key-less (pooled-call) charges
-_anon_charges: Dict[int, List[float]] = {}
 _timing_keys = itertools.count(1)
 _scopes = threading.local()
 
@@ -128,34 +118,24 @@ def _new_timing_key() -> int:
     return key
 
 
-def _charge(key: Optional[int], connect: float, send: float, wait: float) -> None:
+def _charge(key: int, connect: float, send: float, wait: float) -> None:
     ident = threading.get_ident()
     with _ledger_lock:
-        if key is None:
-            bucket = _anon_charges.setdefault(ident, [0.0, 0.0, 0.0])
-            bucket[0] += connect
-            bucket[1] += send
-            bucket[2] += wait
+        prior = _keyed_charges.get(key)
+        if prior is None:
+            # Bound the ledger for callers that never drain: evict the
+            # oldest charges (dicts iterate in insertion order) once the
+            # table is clearly stale.
+            while len(_keyed_charges) >= 65536:
+                _keyed_charges.pop(next(iter(_keyed_charges)))
+            _keyed_charges[key] = (ident, connect, send, wait)
         else:
-            prior = _keyed_charges.get(key)
-            if prior is None:
-                # Bound the ledger for callers that never drain: evict the
-                # oldest charges (dicts iterate in insertion order) once the
-                # table is clearly stale.
-                while len(_keyed_charges) >= 65536:
-                    _keyed_charges.pop(next(iter(_keyed_charges)))
-                _keyed_charges[key] = (ident, connect, send, wait)
-            else:
-                _keyed_charges[key] = (
-                    ident,
-                    prior[1] + connect,
-                    prior[2] + send,
-                    prior[3] + wait,
-                )
-
-
-def _accumulate(connect: float = 0.0, send: float = 0.0, wait: float = 0.0) -> None:
-    _charge(None, connect, send, wait)
+            _keyed_charges[key] = (
+                ident,
+                prior[1] + connect,
+                prior[2] + send,
+                prior[3] + wait,
+            )
 
 
 def drain_timings(keys: Optional[Iterable[int]] = None) -> Tuple[float, float, float]:
@@ -169,22 +149,13 @@ def drain_timings(keys: Optional[Iterable[int]] = None) -> Tuple[float, float, f
     with _ledger_lock:
         if keys is None:
             ident = threading.get_ident()
-            bucket = _anon_charges.pop(ident, None)
-            if bucket is not None:
-                connect, send, wait = bucket
-            mine = [k for k, v in _keyed_charges.items() if v[0] == ident]
-            for key in mine:
-                _, c, s, w = _keyed_charges.pop(key)
-                connect += c
-                send += s
-                wait += w
-        else:
-            for key in keys:
-                entry = _keyed_charges.pop(key, None)
-                if entry is not None:
-                    connect += entry[1]
-                    send += entry[2]
-                    wait += entry[3]
+            keys = [k for k, v in _keyed_charges.items() if v[0] == ident]
+        for key in keys:
+            entry = _keyed_charges.pop(key, None)
+            if entry is not None:
+                connect += entry[1]
+                send += entry[2]
+                wait += entry[3]
     return (connect, send, wait)
 
 
@@ -486,7 +457,7 @@ class _Channel:
 
 
 class RpcFuture:
-    """Handle on one in-flight RPC submitted to either client flavour.
+    """Handle on one in-flight RPC submitted through :meth:`RpcClient.submit`.
 
     ``result()`` blocks until the request completes a full
     sweep-with-failover cycle: it returns the decoded result, raises the
@@ -499,8 +470,8 @@ class RpcFuture:
     def __init__(
         self,
         cfuture: ConcurrentFuture,
-        default_timeout: Optional[float],
-        timing_key: Optional[int] = None,
+        default_timeout: float,
+        timing_key: int,
     ):
         self._cfuture = cfuture
         self._default_timeout = default_timeout
@@ -539,11 +510,11 @@ class RpcFuture:
 class RpcClient:
     """Framed, *pipelined* RPC over a failover list of ``(host, port)``.
 
-    The synchronous surface (``call``, typed errors, sweep failover,
-    backoff) is byte-for-byte PR 6's; underneath, requests of any number
-    of calling threads share ``connections_per_server`` reactor
-    connections per address with up to ``max_inflight`` requests pipelined
-    on each.  ``submit``/``call_many`` expose the non-blocking window.
+    The synchronous surface is ``call`` (typed errors, sweep failover,
+    backoff); underneath, requests of any number of calling threads share
+    ``connections_per_server`` reactor connections per address with up to
+    ``max_inflight`` requests pipelined on each.  ``submit``/``call_many``
+    expose the non-blocking window.
     """
 
     def __init__(
@@ -784,236 +755,6 @@ class RpcClient:
                 pass
 
     def __enter__(self) -> "RpcClient":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
-# ---------------------------------------------------------------------------
-# PooledRpcClient: PR 6's blocking pool, now bounded — the measured baseline
-# ---------------------------------------------------------------------------
-
-
-class _PooledConnection:
-    """One established socket plus its incremental frame decoder."""
-
-    def __init__(self, address: Tuple[str, int], connect_timeout: float) -> None:
-        started = time.perf_counter()
-        self.sock = socket.create_connection(address, timeout=connect_timeout)
-        _accumulate(connect=time.perf_counter() - started)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.decoder = FrameDecoder()
-
-    def exchange(
-        self, message: Dict[str, Any], frame: bytes, request_timeout: float
-    ) -> Dict[str, Any]:
-        request_id = message["id"]
-        started = time.perf_counter()
-        self.sock.sendall(frame)
-        sent = time.perf_counter()
-        _accumulate(send=sent - started)
-        self.sock.settimeout(request_timeout)
-        try:
-            while True:
-                data = self.sock.recv(256 * 1024)
-                if not data:
-                    raise ConnectionError("server closed the connection")
-                for response in self.decoder.feed(data):
-                    # One request in flight per pooled socket, so the only
-                    # valid response carries our id; anything else means the
-                    # stream is corrupt and the socket must be discarded.
-                    if response.get("id") != request_id:
-                        raise ConnectionError(
-                            f"response id {response.get('id')!r} != {request_id!r}"
-                        )
-                    return response
-        finally:
-            _accumulate(wait=time.perf_counter() - started - (sent - started))
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-
-#: Worker pool for PooledRpcClient.submit — thread-per-in-flight-request,
-#: exactly the PR 6 fan-out idiom the reactor replaces (and the E16
-#: benchmark measures against).
-_POOLED_EXECUTOR_LOCK = threading.Lock()
-_POOLED_EXECUTOR: Optional[ThreadPoolExecutor] = None
-
-
-def _pooled_executor() -> ThreadPoolExecutor:
-    global _POOLED_EXECUTOR
-    with _POOLED_EXECUTOR_LOCK:
-        if _POOLED_EXECUTOR is None:
-            _POOLED_EXECUTOR = ThreadPoolExecutor(
-                max_workers=8, thread_name_prefix="blobseer-rpc-pool"
-            )
-        return _POOLED_EXECUTOR
-
-
-class PooledRpcClient:
-    """Blocking RPC over a failover list: one pooled socket per request.
-
-    PR 6's client, kept as the pipelining baseline.  The pool is bounded:
-    ``max_idle_per_server`` idle sockets are retained per address; a
-    check-in beyond that closes the connection instead of growing the pool
-    without limit.
-    """
-
-    def __init__(
-        self,
-        servers: Sequence[Tuple[str, int]],
-        *,
-        connect_timeout: float = 5.0,
-        request_timeout: float = 30.0,
-        max_retries: int = 3,
-        backoff_base: float = 0.05,
-        backoff_max: float = 1.0,
-        codec: str = "json",
-        max_idle_per_server: int = 8,
-    ) -> None:
-        if not servers:
-            raise ValueError("PooledRpcClient needs at least one server address")
-        self.servers: List[Tuple[str, int]] = [tuple(s) for s in servers]
-        self.connect_timeout = connect_timeout
-        self.request_timeout = request_timeout
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
-        self.codec = codec
-        self.max_idle_per_server = max(1, max_idle_per_server)
-        self._ids = itertools.count(1)
-        self._lock = threading.Lock()
-        self._pool: Dict[Tuple[str, int], List[_PooledConnection]] = {}
-        self._closed = False
-        self.idle_closed = 0  #: connections closed by the idle cap
-
-    # -- pooling -------------------------------------------------------------------
-    def _checkout(self, address: Tuple[str, int]) -> _PooledConnection:
-        with self._lock:
-            idle = self._pool.get(address)
-            if idle:
-                return idle.pop()
-        return _PooledConnection(address, self.connect_timeout)
-
-    def _checkin(self, address: Tuple[str, int], conn: _PooledConnection) -> None:
-        with self._lock:
-            if not self._closed:
-                idle = self._pool.setdefault(address, [])
-                if len(idle) < self.max_idle_per_server:
-                    idle.append(conn)
-                    return
-                self.idle_closed += 1
-        conn.close()
-
-    # -- calls ---------------------------------------------------------------------
-    def _call_raw(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        frame = encode_frame(message, codec=self.codec)
-        method = message["method"]
-        failures: List[str] = []
-        for sweep in range(self.max_retries + 1):
-            for address in self.servers:
-                try:
-                    conn = self._checkout(address)
-                except (OSError, socket.timeout) as exc:
-                    failures.append(f"{address[0]}:{address[1]}: {exc}")
-                    continue
-                try:
-                    response = conn.exchange(message, frame, self.request_timeout)
-                except (ConnectionError, OSError, socket.timeout, FrameError) as exc:
-                    conn.close()
-                    failures.append(f"{address[0]}:{address[1]}: {exc}")
-                    continue
-                self._checkin(address, conn)
-                return response
-            if sweep < self.max_retries:
-                delay = _jittered(min(self.backoff_max, self.backoff_base * (2**sweep)))
-                time.sleep(delay)
-        raise NetworkError(
-            f"rpc {method!r} failed on all servers after "
-            f"{self.max_retries + 1} sweeps: {'; '.join(failures[-len(self.servers):])}"
-        )
-
-    def _message(self, method: str, params: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-        message = {
-            "id": next(self._ids),
-            "method": method,
-            "params": wire.encode(params or {}),
-        }
-        trace = obs_trace.current_context()
-        if trace is not None:
-            message[wire.TRACE_KEY] = wire.encode_trace(trace)
-        return message
-
-    def call(self, method: str, params: Optional[Dict[str, Any]] = None) -> Any:
-        """Invoke ``method`` on the first reachable server; raise decoded errors."""
-        response = self._call_raw(self._message(method, params))
-        error = response.get("error")
-        if error is not None:
-            raise wire.decode(error)
-        return wire.decode(response.get("result"))
-
-    def submit(
-        self,
-        method: str,
-        params: Optional[Dict[str, Any]] = None,
-        trace: Optional[obs_trace.TraceContext] = None,
-    ) -> RpcFuture:
-        """PR 6 fan-out: run the blocking exchange on a worker thread."""
-        if self._closed:
-            raise NetworkError("rpc client is closed")
-        message = self._message(method, params)
-        if trace is not None:
-            message[wire.TRACE_KEY] = wire.encode_trace(trace)
-
-        def run() -> Tuple[Dict[str, Any], Tuple[float, float, float]]:
-            drain_timings()  # isolate this request's accumulation
-            response = self._call_raw(message)
-            return response, drain_timings()
-
-        return RpcFuture(_pooled_executor().submit(run), None, _new_timing_key())
-
-    def call_many(
-        self,
-        requests: Sequence[Tuple[str, Optional[Dict[str, Any]]]],
-        return_exceptions: bool = False,
-    ) -> List[Any]:
-        futures = [self.submit(method, params) for method, params in requests]
-        results: List[Any] = []
-        for future in futures:
-            try:
-                results.append(future.result())
-            except Exception as exc:  # noqa: BLE001 - per-request outcome
-                if not return_exceptions:
-                    raise
-                results.append(exc)
-        return results
-
-    def stats(self) -> Dict[str, Dict[str, int]]:
-        with self._lock:
-            return {
-                f"{address[0]}:{address[1]}": {
-                    "connections": len(idle),
-                    "requests_sent": 0,
-                    "in_flight": 0,
-                    "peak_inflight": 1,
-                }
-                for address, idle in self._pool.items()
-            }
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            conns = [c for idle in self._pool.values() for c in idle]
-            self._pool.clear()
-        for conn in conns:
-            conn.close()
-
-    def __enter__(self) -> "PooledRpcClient":
         return self
 
     def __exit__(self, *exc: Any) -> None:

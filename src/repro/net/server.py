@@ -46,7 +46,7 @@ import sys
 import threading
 import time
 import uuid
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core import errors
 from ..core.config import BlobSeerConfig
@@ -493,7 +493,7 @@ def standby_handlers(
     stale routing, not a broken shard.
     """
     from ..resilience.failover import StreamedStandby
-    from .rpc import PooledRpcClient
+    from .rpc import RpcClient
 
     shard_id = f"vm-{index:03d}"
     standby = StreamedStandby(shard_id)
@@ -502,13 +502,13 @@ def standby_handlers(
     state_lock = threading.Lock()
     commits_served = [0]
     latest_membership: List[Optional[Dict[str, Any]]] = [None]
-    stop_pulling = threading.Event()
-    client_box: List[Optional[PooledRpcClient]] = [None]
+    #: The live puller as ``(client, its stop flag)``; at most one at a time.
+    puller: List[Optional[Tuple[RpcClient, threading.Event]]] = [None]
     pulls = [0]
     poll = max(0.01, config.net_heartbeat_interval / 5.0)
 
-    def _pull_loop(client: PooledRpcClient) -> None:
-        while not stop_pulling.is_set():
+    def _pull_loop(client: RpcClient, stop: threading.Event) -> None:
+        while not stop.is_set():
             drain = False
             try:
                 with state_lock:
@@ -519,7 +519,7 @@ def standby_handlers(
                     "journal_stream", {"after_lsn": after, "stream_id": token}
                 )
                 with state_lock:
-                    if standby.taking_over or stop_pulling.is_set():
+                    if standby.taking_over or stop.is_set():
                         return
                     standby.apply_batch(
                         batch["stream_id"],
@@ -541,27 +541,36 @@ def standby_handlers(
                     flush=True,
                 )
             if not drain:
-                stop_pulling.wait(poll)
+                stop.wait(poll)
+
+    def _stop_puller() -> None:
+        """Retire the live puller.  Its flag is its own, so a later
+        ``follow`` cannot revive it; once set, the thread applies nothing
+        beyond a batch it already holds ``state_lock`` for."""
+        current, puller[0] = puller[0], None
+        if current is not None:
+            client, stop = current
+            stop.set()
+            # Fails the in-flight ``journal_stream`` call, so the thread
+            # wakes now instead of after the request timeout.
+            client.close()
 
     def follow(primary: str) -> bool:
         """(Re)attach the pull stream to a primary at ``host:port``."""
         host, _, port = primary.rpartition(":")
-        stop_pulling.set()
-        old = client_box[0]
-        if old is not None:
-            old.close()
-        client = PooledRpcClient(
+        _stop_puller()
+        client = RpcClient(
             [(host, int(port))],
             connect_timeout=2.0,
             request_timeout=10.0,
             max_retries=0,
             codec=config.net_codec,
         )
-        client_box[0] = client
-        stop_pulling.clear()
+        stop = threading.Event()
+        puller[0] = (client, stop)
         threading.Thread(
             target=_pull_loop,
-            args=(client,),
+            args=(client, stop),
             name=f"standby-pull-{shard_id}",
             daemon=True,
         ).start()
@@ -572,7 +581,7 @@ def standby_handlers(
         snapshot that marked the primary down; journaling it into the
         handoff makes the takeover epoch durable — a deployment restart
         adopts it instead of resurrecting the dead shard's routing."""
-        stop_pulling.set()
+        _stop_puller()
         with state_lock:
             if not standby.taking_over:
                 standby.take_over(journal_dir)
@@ -861,9 +870,7 @@ async def _amain(args: argparse.Namespace) -> None:
         host=args.host,
         port=args.port,
         codec=config.net_codec,
-        max_inflight_per_connection=max(
-            64, getattr(config, "net_max_inflight", 64)
-        ),
+        max_inflight_per_connection=max(64, config.net_max_inflight),
     )
     await server.start()
 

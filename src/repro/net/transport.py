@@ -10,8 +10,8 @@ order the plan produced them and responses are collected as they demux —
 no worker thread per RPC.  Control-plane closures still run on
 ``parallel_map`` worker threads (the thread is a cheap *waiter* now; the
 RPCs inside pipeline over the shared reactor connections), and their
-network cost is recovered per call from the RPC layer's thread-local
-accumulators, so the batch engine's phase timings stay honest without it
+network cost is recovered per call from the RPC layer's keyed timing
+ledger, so the batch engine's phase timings stay honest without it
 knowing which transport it runs on.
 
 Failure handling is the msgbox idiom at two levels: the per-service
@@ -98,10 +98,7 @@ class NetworkTransport(Transport):
                         value = call.fn()
                 else:
                     value = call.fn()
-            keyed = scope.drain()
-            anon = drain_timings()  # pooled-client call() paths charge keyless
-            net = (keyed[0] + anon[0], keyed[1] + anon[1], keyed[2] + anon[2])
-            return value, self.now(), net
+            return value, self.now(), scope.drain()
 
         return parallel_map(
             [(lambda call=call: one_round(call)) for call in calls],

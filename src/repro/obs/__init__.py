@@ -62,7 +62,7 @@ def configure_observability(config: Any, role: Optional[str] = None) -> None:
     """Apply a config's ``obs_*`` knobs to this process's tracer + registry."""
     registry(role=role)
     tracer().configure(
-        enabled=bool(getattr(config, "obs_tracing", False)),
-        slow_op_threshold=float(getattr(config, "obs_slow_op_threshold", 0.0)),
+        enabled=config.obs_tracing,
+        slow_op_threshold=config.obs_slow_op_threshold,
         service=role,
     )

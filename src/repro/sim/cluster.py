@@ -123,7 +123,6 @@ class SimulatedBlobSeer:
         self.version_manager = ShardedVersionManager(
             num_shards=self.config.num_version_managers,
             virtual_nodes=self.config.dht_virtual_nodes,
-            migration_batch_blobs=self.config.migration_batch_blobs,
         )
         #: Per-shard write-ahead journals (durability subsystem), when on.
         self.journals = None

@@ -2,10 +2,43 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import BlobSeerConfig, ClientConfig, PLACEMENT_STRATEGIES
 from repro.core.errors import InvalidConfigError
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: Non-default values for the fields whose domain is not "any number".
+_CHOSEN = {
+    "placement_strategy": "load_aware",
+    "storage_root": "/x",
+    "transport": "network",
+    "net_host": "0.0.0.0",
+    "net_codec": "msgpack",
+    "net_standby_per_shard": 0,
+    "filters_target_fp": 0.05,
+}
+
+
+def _non_default_kwargs(cls) -> dict:
+    """A value different from the default for every field of ``cls``."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in _CHOSEN:
+            kwargs[f.name] = _CHOSEN[f.name]
+        elif f.name == "client":
+            kwargs[f.name] = ClientConfig(**_non_default_kwargs(ClientConfig))
+        elif isinstance(f.default, bool):
+            kwargs[f.name] = not f.default
+        else:
+            kwargs[f.name] = f.default + 1
+    return kwargs
 
 
 class TestValidation:
@@ -63,12 +96,16 @@ class TestDerivation:
             config.with_(replication=100)
 
     def test_dict_roundtrip(self):
-        config = BlobSeerConfig(
-            num_data_providers=7,
-            chunk_size=1234,
-            placement_strategy="load_aware",
-            client=ClientConfig(metadata_cache=False, prefetch_chunks=5),
-        )
+        # Every field non-default, so a field to_dict() forgot (storage_root
+        # was one) comes back as its default and breaks the equality.
+        config = BlobSeerConfig(**_non_default_kwargs(BlobSeerConfig))
+        default = BlobSeerConfig()
+        for cls, a, b in (
+            (BlobSeerConfig, config, default),
+            (ClientConfig, config.client, default.client),
+        ):
+            for f in fields(cls):
+                assert getattr(a, f.name) != getattr(b, f.name), f.name
         rebuilt = BlobSeerConfig.from_dict(config.to_dict())
         assert rebuilt == config
 
@@ -76,3 +113,22 @@ class TestDerivation:
         d = BlobSeerConfig().to_dict()
         assert "client.metadata_cache" in d
         assert "chunk_size" in d
+
+
+class TestKnobLiveness:
+    """A settable value nobody reads is a lie in the README: every config
+    field must be read as an attribute somewhere outside core/config.py."""
+
+    @pytest.mark.parametrize("cls", [BlobSeerConfig, ClientConfig])
+    def test_every_field_is_read_outside_config(self, cls):
+        text = "\n".join(
+            path.read_text(encoding="utf-8")
+            for path in sorted(SRC.rglob("*.py"))
+            if path != SRC / "core" / "config.py"
+        )
+        dead = [
+            f.name
+            for f in fields(cls)
+            if not re.search(rf"\.{re.escape(f.name)}\b", text)
+        ]
+        assert dead == []

@@ -15,7 +15,7 @@ from repro.core import BlobSeerConfig
 from repro.core.deployment import BlobSeerDeployment
 from repro.core.errors import EpochRetryError, InvalidConfigError, ServiceError
 from repro.core.membership import CoordinatorMembership, ShardStatus
-from repro.core.version_coordinator import ShardedVersionManager
+from repro.core.version_coordinator import MIGRATION_BATCH_BLOBS, ShardedVersionManager
 from repro.core.version_manager import VersionManager
 from repro.qos import FeedbackPolicy, Monitor, QoSFeedbackController, fit_behavior_model
 from repro.qos.monitoring import WindowSample
@@ -491,6 +491,74 @@ class TestMigrationUnderStorm:
                 assert sizes == sorted(sizes)
                 assert vm.pending_versions(blob.blob_id) == []
 
+    def test_paced_migration_spans_batches_under_appenders(self):
+        config = BlobSeerConfig(
+            num_data_providers=4,
+            num_metadata_providers=3,
+            num_version_managers=1,
+            chunk_size=256,
+        )
+        with BlobSeerDeployment(config) as deployment:
+            vm = deployment.version_manager
+            client = deployment.client()
+            blobs = [client.create_blob() for _ in range(80)]
+            # One writer per blob, so the thread-side concatenation *is*
+            # the blob's expected content (appends to one blob land in
+            # version order, not thread order).
+            workers = 4
+            written = {blob.blob_id: [b"seed;"] for blob in blobs}
+            for blob in blobs:
+                blob.append(b"seed;")
+            errors = []
+            stop = threading.Event()
+
+            def appender(worker: int):
+                worker_client = deployment.client(f"paced-{worker}")
+                mine = [b.blob_id for b in blobs[worker::workers]]
+                serial = 0
+                while not stop.is_set():
+                    blob_id = mine[serial % len(mine)]
+                    payload = f"{blob_id}:{serial};".encode()
+                    try:
+                        worker_client.append(blob_id, payload)
+                    except Exception as exc:  # pragma: no cover
+                        errors.append(exc)
+                        return
+                    written[blob_id].append(payload)
+                    serial += 1
+
+            threads = [
+                threading.Thread(target=appender, args=(i,)) for i in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            try:
+                time.sleep(0.1)
+                added = vm.add_shard()
+                time.sleep(0.1)
+            finally:
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+            assert not errors
+            # Half the ring moved — more than one batch, so only the batch
+            # being streamed was ever commit-frozen.
+            assert added["moved_blobs"] > MIGRATION_BATCH_BLOBS
+            expected_batches = -(-added["moved_blobs"] // MIGRATION_BATCH_BLOBS)
+            assert vm.membership_report()["migration_batches"] == expected_batches
+            moved = [
+                b.blob_id for b in blobs if vm.shard_index(b.blob_id) == added["index"]
+            ]
+            assert len(moved) == added["moved_blobs"]
+            for blob in blobs:
+                acked = len(written[blob.blob_id])
+                assert vm.latest_version(blob.blob_id) == acked
+                assert vm.pending_versions(blob.blob_id) == []
+                history = vm.get_history(blob.blob_id, acked)
+                assert [r.version for r in history] == list(range(1, acked + 1))
+                content = b"".join(written[blob.blob_id])
+                assert client.read(blob.blob_id, 0, len(content)) == content
+
 
 # ---------------------------------------------------------------------------
 # Membership-aware monitoring surfaces (the shard_reports/distribution fix)
@@ -901,9 +969,6 @@ class TestScrubPacing:
 class TestConfigKnobs:
     def test_roundtrip_includes_new_fields(self):
         config = BlobSeerConfig(
-            journal_snapshot_max_bytes=1024,
-            journal_snapshot_max_age=5.0,
-            journal_keep_snapshots=4,
             scrub_max_batches_per_tick=3,
             scrub_backpressure_rpc_rate=100.0,
         )
@@ -911,12 +976,6 @@ class TestConfigKnobs:
         assert restored == config
 
     def test_validation_rejects_bad_values(self):
-        with pytest.raises(InvalidConfigError):
-            BlobSeerConfig(journal_keep_snapshots=0)
-        with pytest.raises(InvalidConfigError):
-            BlobSeerConfig(journal_snapshot_max_bytes=-1)
-        with pytest.raises(InvalidConfigError):
-            BlobSeerConfig(journal_snapshot_max_age=-0.5)
         with pytest.raises(InvalidConfigError):
             BlobSeerConfig(scrub_max_batches_per_tick=-1)
         with pytest.raises(InvalidConfigError):

@@ -158,8 +158,7 @@ class TestKeyedTimingLedger:
         drain_timings()
         key = _new_timing_key()  # no scope open: owned by this thread
         _charge(key, 0.5, 0.25, 0.125)
-        _charge(None, 0.5, 0.25, 0.125)  # anonymous (pooled-call path)
-        assert drain_timings() == (1.0, 0.5, 0.25)
+        assert drain_timings() == (0.5, 0.25, 0.125)
         assert drain_timings() == (0.0, 0.0, 0.0)
 
 

@@ -22,7 +22,10 @@ import pytest
 from repro.core.errors import ChunkNotFoundError
 from repro.net import wire
 from repro.net.frames import FrameDecoder, encode_frame
-from repro.net.rpc import NetworkError, PooledRpcClient, RpcClient
+from repro.core import BlobSeerConfig
+from repro.net import ClusterMonitor
+from repro.net.rpc import NetworkError, RpcClient
+from repro.net.server import standby_handlers
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +50,7 @@ class ScriptedServer:
         self.address = self._listener.getsockname()
         self.received = 0
         self.max_outstanding = 0
+        self.open_connections = 0
         self._outstanding = 0
         self._lock = threading.Lock()
         self._stopped = threading.Event()
@@ -100,6 +104,8 @@ class ScriptedServer:
 
     def _serve(self, conn: socket.socket) -> None:
         decoder = FrameDecoder()
+        with self._lock:
+            self.open_connections += 1
         try:
             while not self._stopped.is_set():
                 data = conn.recv(64 * 1024)
@@ -121,6 +127,8 @@ class ScriptedServer:
         except OSError:
             pass
         finally:
+            with self._lock:
+                self.open_connections -= 1
             try:
                 conn.close()
             except OSError:
@@ -398,43 +406,111 @@ class TestCloseWithInflight:
 
 
 # ---------------------------------------------------------------------------
-# The bounded blocking pool (the baseline client)
+# The client's two blocking-``call`` users: heartbeat probes, journal puller
 # ---------------------------------------------------------------------------
 
 
-class TestBoundedPool:
-    def test_pooled_client_still_round_trips(self):
-        with ScriptedServer() as server:
-            with PooledRpcClient(
-                [server.address], max_retries=0
-            ) as rpc:
-                assert rpc.call("echo", {"value": "pooled"}) == "pooled"
-                with pytest.raises(ChunkNotFoundError):
-                    rpc.call("boom", {})
+def _wait(predicate, timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return predicate()
 
-    def test_idle_cap_closes_surplus_connections(self):
-        with SlowStartServer(delay=0.05) as server:
-            with PooledRpcClient(
-                [server.address], max_retries=0, max_idle_per_server=2
-            ) as rpc:
-                # Six truly concurrent calls force six sockets open at
-                # once; on check-in only two may stay pooled.
-                results = rpc.call_many(
-                    [("echo", {"value": i}) for i in range(6)]
-                )
-                assert results == list(range(6))
-                stats = rpc.stats()
-        (per_address,) = stats.values()
-        assert per_address["connections"] <= 2
-        assert rpc.idle_closed >= 1
 
-    def test_pooled_failover_to_backup(self):
-        dead = ScriptedServer()
-        dead.close()
-        with ScriptedServer() as backup:
-            with PooledRpcClient(
-                [dead.address, backup.address],
-                max_retries=0,
-                connect_timeout=1.0,
-            ) as rpc:
-                assert rpc.call("echo", {"value": 9}) == 9
+class JournalPrimary(ScriptedServer):
+    """Answers ``journal_stream`` with an empty bootstrap batch under its name."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__()
+        self.name = name
+
+    def send_response(self, conn: socket.socket, message: dict) -> None:
+        batch = {
+            "stream_id": self.name,
+            "bootstrap": True,
+            "snapshot": None,
+            "snapshot_lsn": 0,
+            "records": [],
+            "last_lsn": 0,
+            "truncated": False,
+        }
+        self.send_frame(
+            conn, encode_frame({"id": message.get("id"), "result": wire.encode(batch)})
+        )
+
+
+class TestMonitorProbes:
+    def test_silent_server_is_a_miss_within_the_probe_timeout(self):
+        # The server accepts and reads but never answers: only the probe's
+        # own request timeout (0.2 s here) can turn that into a miss.
+        with HoldServer() as server:
+            monitor = ClusterMonitor(interval=0.05, suspect_after=2)
+            monitor.watch("meta", 0, server.address)
+            started = time.monotonic()
+            monitor.start()
+            try:
+                assert _wait(lambda: any(e.kind == "suspect" for e in monitor.events))
+                elapsed = time.monotonic() - started
+            finally:
+                monitor.stop()
+        # Two probes, each sitting out its 0.2 s — not RpcClient's 30 s
+        # default, and not the 10 s blocked-caller safety cap.
+        assert 0.4 <= elapsed < 3.0
+        assert server.received >= 2
+        (suspect,) = [e for e in monitor.events if e.kind == "suspect"]
+        assert "2 missed" in suspect.detail
+
+    def test_update_target_closes_the_old_channel(self):
+        with ScriptedServer() as old, ScriptedServer() as new:
+            monitor = ClusterMonitor(interval=0.05, suspect_after=2)
+            monitor.watch("meta", 0, old.address)
+            monitor.start()
+            try:
+                assert _wait(lambda: old.received >= 2)
+                assert old.open_connections == 1  # probes share one channel
+                monitor.update_target("meta", 0, new.address)
+                # The restart repointed the probe: the old server sees its
+                # connection close instead of lingering until process exit.
+                assert _wait(lambda: old.open_connections == 0)
+                assert _wait(lambda: new.received >= 2)
+                stats = monitor._targets[("meta", 0)].client.stats()
+                assert {addr: s["connections"] for addr, s in stats.items()} == {
+                    f"{new.address[0]}:{new.address[1]}": 1
+                }
+            finally:
+                monitor.stop()
+            assert _wait(lambda: new.open_connections == 0)
+        assert monitor.events == []
+
+
+class TestStandbyPuller:
+    def test_follow_reattach_retires_the_previous_puller(self):
+        def pullers():
+            return [
+                t for t in threading.enumerate() if t.name == "standby-pull-vm-000"
+            ]
+
+        with JournalPrimary("first") as first, JournalPrimary("second") as second:
+            handlers = standby_handlers(
+                0,
+                BlobSeerConfig(net_heartbeat_interval=0.05),
+                primary=f"{first.address[0]}:{first.address[1]}",
+            )
+            try:
+                assert _wait(lambda: handlers["standby_status"]()["stream_id"] == "first")
+                handlers["follow"](f"{second.address[0]}:{second.address[1]}")
+                # The old puller's flag is its own: re-attaching cannot
+                # revive it, and its channel to the old primary is closed.
+                assert _wait(lambda: len(pullers()) == 1)
+                assert _wait(lambda: first.open_connections == 0)
+                assert _wait(lambda: handlers["standby_status"]()["stream_id"] == "second")
+                seen_by_first = first.received
+                pulls = handlers["standby_status"]()["pulls"]
+                assert _wait(lambda: handlers["standby_status"]()["pulls"] >= pulls + 3)
+                # Only the new puller applies batches from here on.
+                assert first.received == seen_by_first
+                assert handlers["standby_status"]()["stream_id"] == "second"
+            finally:
+                handlers["take_over"]()
+            assert _wait(lambda: not pullers())
+            assert _wait(lambda: second.open_connections == 0)
