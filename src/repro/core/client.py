@@ -168,20 +168,12 @@ class BlobSeerClient:
         )
         client_config: ClientConfig = deployment.config.client
         if client_config.metadata_cache:
-            # Negative caching keys its entries on the DHT's filter-version
-            # stamp; without that surface (filters off) it stays disabled.
-            epoch_source = getattr(
-                deployment.metadata_store, "filters_version", None
-            )
             self._metadata = MetadataCache(
                 deployment.metadata_store,
                 capacity=client_config.metadata_cache_capacity,
-                negative_capacity=client_config.metadata_negative_cache,
-                epoch_source=epoch_source,
             )
         else:
             self._metadata = PassthroughMetadataStore(deployment.metadata_store)
-        self._vectored = client_config.vectored_metadata
         #: Operation counters (reads/writes issued, bytes moved) for harnesses.
         #: ``metadata_levels_fetched`` / ``metadata_put_rounds`` count metadata
         #: *round trips* (one vectored round per tree level), the number the
@@ -227,6 +219,26 @@ class BlobSeerClient:
     @property
     def metadata_cache_stats(self) -> Dict[str, int]:
         return self._metadata.stats
+
+    def lookup_fragments(self, snapshot: SnapshotInfo, target: Interval) -> List[Fragment]:
+        """Walk ``snapshot``'s segment tree for the fragments covering ``target``.
+
+        Version-existence fast path first: the filter tree is asked whether
+        the snapshot's root node exists anywhere before the descent.  An
+        exact negative (filters never report false negatives) saves the
+        whole replica walk; "maybe"/None just proceeds to the lookup.
+        """
+        if snapshot.root is not None:
+            verdict = self._metadata.probe(snapshot.root)
+            self.counters["metadata_probes"] += 1
+            if verdict is False:
+                self.counters["metadata_probe_negatives"] += 1
+                raise MetadataNotFoundError(snapshot.root)
+        reader = SegmentTreeReader(self._metadata, snapshot.chunk_size)
+        fragments = reader.lookup(snapshot.root, target)
+        self.counters["metadata_nodes_fetched"] += reader.nodes_fetched
+        self.counters["metadata_levels_fetched"] += reader.levels_fetched
+        return fragments
 
     @property
     def deployment(self):
@@ -361,28 +373,9 @@ class BlobSeerClient:
                         if p.target.empty:
                             p.data = b""
                             continue
-                        # Version-existence fast path: ask the filter tree
-                        # whether the snapshot's root node exists anywhere
-                        # before descending the segment tree.  An exact
-                        # negative (filters never report false negatives)
-                        # saves the whole replica walk; "maybe"/None just
-                        # proceeds to the normal lookup.
-                        if p.snapshot.root is not None:
-                            verdict = self._metadata.probe(p.snapshot.root)
-                            self.counters["metadata_probes"] += 1
-                            if verdict is False:
-                                self.counters["metadata_probe_negatives"] += 1
-                                raise MetadataNotFoundError(p.snapshot.root)
-                        reader = SegmentTreeReader(
-                            self._metadata, p.snapshot.chunk_size, vectored=self._vectored
-                        )
-                        snapshot = p.snapshot
-                        target = p.target
                         fragments, token = transport.record_metadata(
-                            lambda: reader.lookup(snapshot.root, target)
+                            lambda: self.lookup_fragments(p.snapshot, p.target)
                         )
-                        self.counters["metadata_nodes_fetched"] += reader.nodes_fetched
-                        self.counters["metadata_levels_fetched"] += reader.levels_fetched
                         p.read_fragments = fragments
                         read_rounds.append((p, token))
                         p.fetch_jobs = [
@@ -725,9 +718,7 @@ class BlobSeerClient:
                 self._fail(p, history)
                 p.add_net(transport.take_net_timings())
                 continue
-            builder = SegmentTreeBuilder(
-                self._metadata, info.chunk_size, vectored=self._vectored
-            )
+            builder = SegmentTreeBuilder(self._metadata, info.chunk_size)
             fragments = p.fragments
             try:
                 _, token = transport.record_metadata(
@@ -737,7 +728,6 @@ class BlobSeerClient:
                         write_interval=Interval.of(ticket.offset, ticket.size),
                         new_fragments=fragments,
                         history=history,
-                        base_size=ticket.base_blob_size,
                         new_size=ticket.new_blob_size,
                     )
                 )
@@ -899,17 +889,12 @@ class BlobSeerClient:
         info = vm.blob_info(blob_id)
         history = vm.get_history(blob_id, version)
         record = history[version - 1]
-        base_history = history[: version - 1]
-        base_size = base_history[-1].new_size if base_history else 0
-        builder = SegmentTreeBuilder(
-            self._metadata, info.chunk_size, vectored=self._vectored
-        )
+        builder = SegmentTreeBuilder(self._metadata, info.chunk_size)
         builder.build_noop(
             blob_id=blob_id,
             version=version,
             write_interval=record.interval,
-            history=base_history,
-            base_size=base_size,
+            history=history[: version - 1],
             new_size=record.new_size,
         )
         self.counters["metadata_put_rounds"] += builder.put_rounds
@@ -1209,21 +1194,7 @@ class Blob:
         target = Interval.of(offset, size).intersection(Interval(0, snapshot.size))
         if target.empty:
             return []
-        if snapshot.root is not None:
-            verdict = self._client._metadata.probe(snapshot.root)
-            self._client.counters["metadata_probes"] += 1
-            if verdict is False:
-                self._client.counters["metadata_probe_negatives"] += 1
-                raise MetadataNotFoundError(snapshot.root)
-        reader = SegmentTreeReader(
-            self._client.metadata_store,
-            snapshot.chunk_size,
-            vectored=self._client._vectored,
-        )
-        fragments = reader.lookup(snapshot.root, target)
-        self._client.counters["metadata_nodes_fetched"] += reader.nodes_fetched
-        self._client.counters["metadata_levels_fetched"] += reader.levels_fetched
         return [
             (fragment.blob_offset, fragment.length, fragment.providers)
-            for fragment in fragments
+            for fragment in self._client.lookup_fragments(snapshot, target)
         ]

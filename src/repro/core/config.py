@@ -33,20 +33,10 @@ class ClientConfig:
     metadata_cache: bool = True
     #: Maximum number of tree nodes kept in the client cache (LRU).
     metadata_cache_capacity: int = 65536
-    #: Vector metadata I/O per tree level (frontier-BFS lookups, batched
-    #: weave flushes): O(depth) metadata round trips instead of O(nodes).
-    #: ``False`` keeps the sequential one-RPC-per-node seed path (the
-    #: baseline the E12 benchmark measures against).
-    vectored_metadata: bool = True
     #: Number of chunks prefetched ahead of a sequential stream (BSFS).
     prefetch_chunks: int = 2
     #: Buffer size (bytes) used by BSFS streaming writes before flushing.
     write_buffer_chunks: int = 4
-    #: Cache *negative* metadata lookups (misses) on the client, keyed to
-    #: the DHT's filter-version stamp so any provider churn invalidates
-    #: them.  0 disables (the default): repeated misses then re-pay the
-    #: full fallback walk.  Requires ``filters_enabled`` on the deployment.
-    metadata_negative_cache: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,5 +262,3 @@ def validate_config(config: BlobSeerConfig) -> None:
         raise InvalidConfigError("prefetch_chunks must be >= 0")
     if config.client.write_buffer_chunks < 1:
         raise InvalidConfigError("write_buffer_chunks must be >= 1")
-    if config.client.metadata_negative_cache < 0:
-        raise InvalidConfigError("metadata_negative_cache must be >= 0")

@@ -8,55 +8,28 @@ the distributed store with the same ``get``/``put`` — and vectored
 ``get_many``/``put_many`` — interface, so the segment-tree builder and
 reader are oblivious to whether caching is on.  Vectored gets serve hits
 locally and forward only the misses to the backend in one bulk request.
+Misses are not remembered: clients only look up nodes of published
+snapshots, which exist by construction.
 """
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-from ..errors import MetadataNotFoundError
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class MetadataCache:
-    """Write-through LRU cache of metadata tree nodes keyed by NodeKey.
+    """Write-through LRU cache of metadata tree nodes keyed by NodeKey."""
 
-    Optionally also caches *negative* results (ROADMAP item 4 satellite):
-    a miss is remembered together with the DHT's filter-version stamp (from
-    ``epoch_source``) and an optional TTL, and served locally until either
-    bound expires — repeated misses on the same key then stop re-paying the
-    full fallback replica walk.  Any filter churn (a put anywhere bumps a
-    provider generation; loss/rebuild bumps an epoch) changes the stamp and
-    invalidates every cached negative at once, so a stale "not found" can
-    never be served after the key appears.
-    """
-
-    def __init__(
-        self,
-        backend,
-        capacity: int = 65536,
-        negative_capacity: int = 0,
-        negative_ttl: float = 0.0,
-        epoch_source: Optional[Callable[[], Any]] = None,
-    ) -> None:
+    def __init__(self, backend, capacity: int = 65536) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if negative_capacity < 0:
-            raise ValueError("negative_capacity must be >= 0")
         self._backend = backend
         self._capacity = capacity
         self._entries: "OrderedDict[Any, Any]" = OrderedDict()
-        # Negative caching needs an epoch source: without a churn-detecting
-        # stamp a remembered miss could outlive the key's appearance.
-        self._negative_capacity = negative_capacity if epoch_source else 0
-        self._negative_ttl = negative_ttl
-        self._epoch_source = epoch_source
-        self._negatives: "OrderedDict[Any, Tuple[Any, float]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.negative_hits = 0
 
     @property
     def backend(self):
@@ -69,35 +42,6 @@ class MetadataCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    # -- negative caching -------------------------------------------------------
-    def _filters_stamp(self) -> Any:
-        return self._epoch_source() if self._epoch_source is not None else None
-
-    def _negative_valid(self, key: Any, stamp: Any) -> bool:
-        entry = self._negatives.get(key)
-        if entry is None:
-            return False
-        held_stamp, recorded_at = entry
-        if held_stamp != stamp or (
-            self._negative_ttl > 0
-            and time.monotonic() - recorded_at > self._negative_ttl
-        ):
-            del self._negatives[key]
-            return False
-        return True
-
-    def _record_negative(self, key: Any, stamp: Any) -> None:
-        if self._negative_capacity <= 0:
-            return
-        self._negatives[key] = (stamp, time.monotonic())
-        self._negatives.move_to_end(key)
-        while len(self._negatives) > self._negative_capacity:
-            self._negatives.popitem(last=False)
-
-    def _forget_negative(self, key: Any) -> None:
-        if self._negatives:
-            self._negatives.pop(key, None)
-
     # -- store interface ------------------------------------------------------
     def get(self, key: Any) -> Any:
         cached = self._entries.get(key)
@@ -105,17 +49,8 @@ class MetadataCache:
             self._entries.move_to_end(key)
             self.hits += 1
             return cached
-        if self._negative_capacity and self._negative_valid(
-            key, self._filters_stamp()
-        ):
-            self.negative_hits += 1
-            raise MetadataNotFoundError(key)
         self.misses += 1
-        try:
-            value = self._backend.get(key)
-        except MetadataNotFoundError:
-            self._record_negative(key, self._filters_stamp())
-            raise
+        value = self._backend.get(key)
         self._insert(key, value)
         return value
 
@@ -125,17 +60,10 @@ class MetadataCache:
             self._entries.move_to_end(key)
             self.hits += 1
             return cached
-        if self._negative_capacity and self._negative_valid(
-            key, self._filters_stamp()
-        ):
-            self.negative_hits += 1
-            return None
         self.misses += 1
         value = self._backend.get_or_none(key)
         if value is not None:
             self._insert(key, value)
-        else:
-            self._record_negative(key, self._filters_stamp())
         return value
 
     def put(self, key: Any, value: Any) -> None:
@@ -152,18 +80,10 @@ class MetadataCache:
         """
         if key in self._entries:
             return True
-        if self._negative_capacity and self._negative_valid(
-            key, self._filters_stamp()
-        ):
-            self.negative_hits += 1
-            return False
         probe = getattr(self._backend, "probe_exists", None)
         if probe is None:
             return None
-        verdict = probe(key)
-        if verdict is False:
-            self._record_negative(key, self._filters_stamp())
-        return verdict
+        return probe(key)
 
     # -- vectored interface ----------------------------------------------------
     def get_many(self, keys: Sequence[Any]) -> Dict[Any, Any]:
@@ -175,15 +95,12 @@ class MetadataCache:
         """
         found: Dict[Any, Any] = {}
         missing: List[Any] = []
-        stamp = self._filters_stamp() if self._negative_capacity else None
         for key in keys:
             cached = self._entries.get(key)
             if cached is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 found[key] = cached
-            elif self._negative_capacity and self._negative_valid(key, stamp):
-                self.negative_hits += 1
             else:
                 self.misses += 1
                 missing.append(key)
@@ -192,10 +109,6 @@ class MetadataCache:
             for key, value in fetched.items():
                 self._insert(key, value)
             found.update(fetched)
-            if self._negative_capacity:
-                for key in missing:
-                    if key not in fetched:
-                        self._record_negative(key, stamp)
         return found
 
     def put_many(self, items: Iterable[Tuple[Any, Any]]) -> None:
@@ -207,7 +120,6 @@ class MetadataCache:
 
     # -- internals ---------------------------------------------------------------
     def _insert(self, key: Any, value: Any) -> None:
-        self._forget_negative(key)
         if key in self._entries:
             # Refresh the stored value: a re-put of an (immutable, hence
             # equal) node may still carry a fresher object identity.
@@ -221,7 +133,6 @@ class MetadataCache:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._negatives.clear()
 
     @property
     def stats(self) -> Dict[str, int]:
@@ -230,8 +141,6 @@ class MetadataCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "negative_entries": len(self._negatives),
-            "negative_hits": self.negative_hits,
         }
 
 

@@ -122,39 +122,6 @@ def latest_version_touching(
 
 
 # ---------------------------------------------------------------------------
-# Vectored store access (fallback-tolerant)
-# ---------------------------------------------------------------------------
-
-
-def _bulk_get(store, keys: Sequence[NodeKey]) -> Dict[NodeKey, TreeNode]:
-    """Fetch ``keys`` through the store's ``get_many`` (one round per level).
-
-    Falls back to scalar gets for minimal store stubs; either way the result
-    contains only the keys found — callers decide whether a miss is fatal.
-    """
-    getter = getattr(store, "get_many", None)
-    if getter is not None:
-        return getter(list(keys))
-    found: Dict[NodeKey, TreeNode] = {}
-    for key in keys:
-        try:
-            found[key] = store.get(key)
-        except MetadataNotFoundError:
-            continue
-    return found
-
-
-def _bulk_put(store, items: Sequence[Tuple[NodeKey, TreeNode]]) -> None:
-    """Write one level of nodes through the store's ``put_many``."""
-    putter = getattr(store, "put_many", None)
-    if putter is not None:
-        putter(list(items))
-        return
-    for key, node in items:
-        store.put(key, node)
-
-
-# ---------------------------------------------------------------------------
 # Builder (write path)
 # ---------------------------------------------------------------------------
 
@@ -162,35 +129,34 @@ def _bulk_put(store, items: Sequence[Tuple[NodeKey, TreeNode]]) -> None:
 class SegmentTreeBuilder:
     """Builds the metadata tree of one new snapshot.
 
-    The default (vectored) mode accumulates the new nodes and flushes them
-    level by level with one ``put_many`` round per level, children before
-    parents: a crash mid-weave can leave unreferenced orphan subtrees but
-    never a parent pointing at an unwritten child.  ``vectored=False`` keeps
-    the historical one-``put``-per-node recursion (used by benchmarks as the
-    sequential baseline).
+    The new nodes are accumulated and flushed level by level with one
+    ``put_many`` round per level, children before parents: a crash
+    mid-weave can leave unreferenced orphan subtrees but never a parent
+    pointing at an unwritten child.
 
     Parameters
     ----------
     metadata_store:
-        Object with ``put``/``get`` (and ideally ``put_many``/``get_many``)
-        — in practice the :class:`~repro.dht.DistributedKeyValueStore` or
-        the client's write-through cache wrapping it.
+        Object with ``get_many``/``put_many`` — in practice the
+        :class:`~repro.dht.DistributedKeyValueStore` or the client's
+        write-through cache wrapping it.
     chunk_size:
         The blob's chunk size.
-    vectored:
-        Batch metadata I/O per tree level (the default).
     """
 
-    def __init__(self, metadata_store, chunk_size: int, vectored: bool = True) -> None:
+    #: Bounded poll for a base leaf still being woven by a concurrent writer.
+    BASE_LEAF_RETRIES = 100
+    BASE_LEAF_RETRY_SLEEP = 0.002
+
+    def __init__(self, metadata_store, chunk_size: int) -> None:
         self._store = metadata_store
         self._chunk_size = chunk_size
-        self._vectored = vectored
         #: Number of tree nodes written by the last ``build`` call.
         self.nodes_written = 0
         #: Number of base-tree leaves fetched for partial-chunk merges.
         self.base_leaves_fetched = 0
-        #: Number of ``put`` rounds the last build flushed (== tree levels
-        #: touched when vectored, == nodes written in scalar mode).
+        #: Number of ``put_many`` rounds the last build flushed (== tree
+        #: levels touched).
         self.put_rounds = 0
 
     def _level_offsets(self, write_interval: Interval, size: int):
@@ -211,7 +177,6 @@ class SegmentTreeBuilder:
         write_interval: Interval,
         new_fragments: Sequence[Fragment],
         history: Sequence[WriteRecord],
-        base_size: int,
         new_size: int,
     ) -> NodeKey:
         """Write all metadata nodes of snapshot ``version`` and return its root key.
@@ -231,20 +196,10 @@ class SegmentTreeBuilder:
 
         fragments = sorted(new_fragments, key=lambda f: f.blob_offset)
 
-        if not self._vectored:
-            return self._build_scalar(
-                blob_id, version, write_interval, fragments, history, span, base_version
-            )
-
-        # Which leaves need base-snapshot content (partial-chunk merges)?
-        base_key_of: Dict[int, NodeKey] = {}
-        for offset in self._level_offsets(write_interval, cs):
-            node_iv = Interval.of(offset, cs)
-            if node_iv.subtract(write_interval):
-                borrowed = latest_version_touching(history, node_iv, base_version)
-                if borrowed is not None:
-                    base_key_of[offset] = NodeKey(blob_id, borrowed, offset, cs)
-        base_leaves = self._fetch_base_leaves_bulk(list(base_key_of.values()))
+        # Only partially written leaves need base-snapshot content.
+        base_leaves = self._base_leaves(
+            blob_id, write_interval, history, base_version, partial_only=True
+        )
 
         def make_leaf(key: NodeKey) -> LeafNode:
             node_iv = Interval.of(key.offset, key.size)
@@ -254,10 +209,12 @@ class SegmentTreeBuilder:
                 clipped = frag.clip(written_part)
                 if clipped is not None:
                     pieces.append(clipped)
-            surviving = node_iv.subtract(write_interval)
-            base_leaf = base_leaves.get(base_key_of.get(key.offset))
-            if surviving and base_leaf is not None:
-                for part in surviving:
+            # Parts of the leaf range not covered by this write keep whatever
+            # the base snapshot exposed there (metadata-only merge, no data
+            # copied).
+            base_leaf = base_leaves.get(key.offset)
+            if base_leaf is not None:
+                for part in node_iv.subtract(write_interval):
                     pieces.extend(base_leaf.fragments_in(part))
             return LeafNode(key=key, fragments=merge_fragments(pieces))
 
@@ -271,7 +228,6 @@ class SegmentTreeBuilder:
         version: Version,
         write_interval: Interval,
         history: Sequence[WriteRecord],
-        base_size: int,
         new_size: int,
     ) -> NodeKey:
         """Build *no-op* metadata for a failed write (crash recovery).
@@ -291,21 +247,12 @@ class SegmentTreeBuilder:
         self.base_leaves_fetched = 0
         self.put_rounds = 0
 
-        if not self._vectored:
-            return self._build_noop_scalar(
-                blob_id, version, write_interval, history, span, base_version
-            )
-
-        base_key_of: Dict[int, NodeKey] = {}
-        for offset in self._level_offsets(write_interval, cs):
-            node_iv = Interval.of(offset, cs)
-            borrowed = latest_version_touching(history, node_iv, base_version)
-            if borrowed is not None:
-                base_key_of[offset] = NodeKey(blob_id, borrowed, offset, cs)
-        base_leaves = self._fetch_base_leaves_bulk(list(base_key_of.values()))
+        base_leaves = self._base_leaves(
+            blob_id, write_interval, history, base_version, partial_only=False
+        )
 
         def make_leaf(key: NodeKey) -> LeafNode:
-            base_leaf = base_leaves.get(base_key_of.get(key.offset))
+            base_leaf = base_leaves.get(key.offset)
             fragments = base_leaf.fragments if base_leaf is not None else ()
             return LeafNode(key=key, fragments=fragments)
 
@@ -313,7 +260,7 @@ class SegmentTreeBuilder:
             blob_id, version, write_interval, history, span, base_version, make_leaf
         )
 
-    # -- vectored level construction -------------------------------------------
+    # -- level construction ---------------------------------------------------
     def _flush_levels(
         self,
         blob_id: BlobId,
@@ -364,17 +311,47 @@ class SegmentTreeBuilder:
             size *= 2
         # Children before parents: one put_many round per level, leaves first.
         for items in levels:
-            _bulk_put(self._store, items)
+            self._store.put_many(items)
             self.nodes_written += len(items)
             self.put_rounds += 1
         return NodeKey(blob_id, version, 0, span)
+
+    def _base_leaves(
+        self,
+        blob_id: BlobId,
+        write_interval: Interval,
+        history: Sequence[WriteRecord],
+        base_version: Version,
+        partial_only: bool,
+    ) -> Dict[int, LeafNode]:
+        """Base-snapshot leaves under the written range, keyed by offset.
+
+        ``partial_only`` skips the leaves the write covers entirely, whose
+        base content it overwrites.  Holes in the base have no entry.
+        """
+        cs = self._chunk_size
+        base_key_of: Dict[int, NodeKey] = {}
+        for offset in self._level_offsets(write_interval, cs):
+            node_iv = Interval.of(offset, cs)
+            if partial_only and not node_iv.subtract(write_interval):
+                continue
+            borrowed = latest_version_touching(history, node_iv, base_version)
+            if borrowed is not None:
+                base_key_of[offset] = NodeKey(blob_id, borrowed, offset, cs)
+        found = self._fetch_base_leaves_bulk(list(base_key_of.values()))
+        return {offset: found[key] for offset, key in base_key_of.items()}
 
     def _fetch_base_leaves_bulk(
         self, base_keys: Sequence[NodeKey]
     ) -> Dict[NodeKey, LeafNode]:
         """Fetch all borrowed base leaves of one build in bulk rounds.
 
-        Missing leaves are polled (see :meth:`_fetch_base_leaf`): only the
+        A borrowed leaf may belong to a writer holding an earlier version
+        ticket that has pushed its chunks but not finished weaving: the node
+        is guaranteed to appear (its writer publishes, or the repair
+        protocol installs it).  Writers never wait for each other *except*
+        on exactly this metadata-only dependency, so missing leaves are
+        polled briefly before the metadata is declared lost.  Only the
         still-missing subset is refetched each round, so a single slow
         concurrent weaver delays, not multiplies, the traffic.
         """
@@ -385,7 +362,7 @@ class SegmentTreeBuilder:
         found: Dict[NodeKey, TreeNode] = {}
         missing: Sequence[NodeKey] = unique
         for attempt in range(self.BASE_LEAF_RETRIES):
-            found.update(_bulk_get(self._store, missing))
+            found.update(self._store.get_many(missing))
             missing = [key for key in missing if key not in found]
             if not missing:
                 break
@@ -397,161 +374,6 @@ class SegmentTreeBuilder:
                 raise MetadataNotFoundError(key)
         return found
 
-    # -- scalar fallback (the sequential seed path) -----------------------------
-    def _build_scalar(
-        self,
-        blob_id: BlobId,
-        version: Version,
-        write_interval: Interval,
-        fragments: Sequence[Fragment],
-        history: Sequence[WriteRecord],
-        span: int,
-        base_version: Version,
-    ) -> NodeKey:
-        def build_range(offset: int, size: int) -> NodeKey:
-            key = NodeKey(blob_id, version, offset, size)
-            node_iv = Interval.of(offset, size)
-            if size == self._chunk_size:
-                node: TreeNode = self._build_leaf(
-                    key, node_iv, write_interval, fragments, history, base_version
-                )
-            else:
-                node = InnerNode(
-                    key=key,
-                    left=self._scalar_child(
-                        blob_id, version, write_interval, history, base_version,
-                        build_range, *halves(offset, size)[0],
-                    ),
-                    right=self._scalar_child(
-                        blob_id, version, write_interval, history, base_version,
-                        build_range, *halves(offset, size)[1],
-                    ),
-                )
-            self._store.put(key, node)
-            self.nodes_written += 1
-            self.put_rounds += 1
-            return key
-
-        return build_range(0, span)
-
-    def _build_noop_scalar(
-        self,
-        blob_id: BlobId,
-        version: Version,
-        write_interval: Interval,
-        history: Sequence[WriteRecord],
-        span: int,
-        base_version: Version,
-    ) -> NodeKey:
-        def build_range(offset: int, size: int) -> NodeKey:
-            key = NodeKey(blob_id, version, offset, size)
-            if size == self._chunk_size:
-                base_leaf = self._fetch_base_leaf(key, history, base_version)
-                fragments = base_leaf.fragments if base_leaf is not None else ()
-                node: TreeNode = LeafNode(key=key, fragments=fragments)
-            else:
-                node = InnerNode(
-                    key=key,
-                    left=self._scalar_child(
-                        blob_id, version, write_interval, history, base_version,
-                        build_range, *halves(offset, size)[0],
-                    ),
-                    right=self._scalar_child(
-                        blob_id, version, write_interval, history, base_version,
-                        build_range, *halves(offset, size)[1],
-                    ),
-                )
-            self._store.put(key, node)
-            self.nodes_written += 1
-            self.put_rounds += 1
-            return key
-
-        return build_range(0, span)
-
-    def _scalar_child(
-        self,
-        blob_id: BlobId,
-        version: Version,
-        write_interval: Interval,
-        history: Sequence[WriteRecord],
-        base_version: Version,
-        build_range: Callable[[int, int], NodeKey],
-        child_offset: int,
-        child_size: int,
-    ) -> Optional[NodeKey]:
-        child_iv = Interval.of(child_offset, child_size)
-        if child_iv.overlaps(write_interval):
-            return build_range(child_offset, child_size)
-        borrowed = latest_version_touching(history, child_iv, base_version)
-        return (
-            NodeKey(blob_id, borrowed, child_offset, child_size)
-            if borrowed is not None
-            else None
-        )
-
-    # -- leaf construction ----------------------------------------------------
-    def _build_leaf(
-        self,
-        key: NodeKey,
-        node_iv: Interval,
-        write_interval: Interval,
-        new_fragments: Sequence[Fragment],
-        history: Sequence[WriteRecord],
-        base_version: Version,
-    ) -> LeafNode:
-        """Compose a leaf from the new fragments plus surviving base fragments."""
-        written_part = node_iv.intersection(write_interval)
-        pieces: List[Fragment] = []
-        for frag in new_fragments:
-            clipped = frag.clip(written_part)
-            if clipped is not None:
-                pieces.append(clipped)
-        # Parts of the leaf range not covered by this write keep whatever the
-        # base snapshot exposed there (metadata-only merge, no data copied).
-        surviving = node_iv.subtract(write_interval)
-        if surviving:
-            base_leaf = self._fetch_base_leaf(key, history, base_version)
-            if base_leaf is not None:
-                for part in surviving:
-                    pieces.extend(base_leaf.fragments_in(part))
-        return LeafNode(key=key, fragments=merge_fragments(pieces))
-
-    #: Bounded poll for a base leaf still being woven by a concurrent writer.
-    BASE_LEAF_RETRIES = 100
-    BASE_LEAF_RETRY_SLEEP = 0.002
-
-    def _fetch_base_leaf(
-        self,
-        key: NodeKey,
-        history: Sequence[WriteRecord],
-        base_version: Version,
-    ) -> Optional[LeafNode]:
-        node_iv = Interval.of(key.offset, key.size)
-        borrowed = latest_version_touching(history, node_iv, base_version)
-        if borrowed is None:
-            return None
-        base_key = NodeKey(key.blob_id, borrowed, key.offset, key.size)
-        self.base_leaves_fetched += 1
-        node = None
-        for attempt in range(self.BASE_LEAF_RETRIES):
-            try:
-                node = self._store.get(base_key)
-                break
-            except MetadataNotFoundError:
-                # The borrowed leaf belongs to a writer holding an earlier
-                # version ticket that has pushed its chunks but not finished
-                # weaving: the node is guaranteed to appear (its writer
-                # publishes, or the repair protocol installs it).  Writers
-                # never wait for each other *except* on exactly this
-                # metadata-only dependency, so poll briefly before declaring
-                # the metadata lost.
-                if attempt == self.BASE_LEAF_RETRIES - 1:
-                    raise
-                time.sleep(self.BASE_LEAF_RETRY_SLEEP)
-        if not isinstance(node, LeafNode):  # pragma: no cover - defensive
-            raise MetadataNotFoundError(base_key)
-        return node
-
 
 # ---------------------------------------------------------------------------
 # Reader (read path)
@@ -561,21 +383,18 @@ class SegmentTreeBuilder:
 class SegmentTreeReader:
     """Reads fragment descriptors for a byte range of one snapshot.
 
-    The default (vectored) traversal is a frontier BFS: the node keys of
-    each tree level are fetched in a single ``get_many`` round, so a lookup
-    costs O(depth) metadata round trips.  ``vectored=False`` keeps the
-    historical one-``get``-per-node walk (used by benchmarks as the
-    sequential baseline).
+    The traversal is a frontier BFS: the node keys of each tree level are
+    fetched in a single ``get_many`` round, so a lookup costs O(depth)
+    metadata round trips.
     """
 
-    def __init__(self, metadata_store, chunk_size: int, vectored: bool = True) -> None:
+    def __init__(self, metadata_store, chunk_size: int) -> None:
         self._store = metadata_store
         self._chunk_size = chunk_size
-        self._vectored = vectored
         #: Number of tree nodes fetched by the last ``lookup`` call.
         self.nodes_fetched = 0
-        #: Number of metadata round trips the last ``lookup`` cost (== tree
-        #: levels traversed when vectored, == nodes fetched in scalar mode).
+        #: Number of ``get_many`` rounds the last ``lookup`` cost (== tree
+        #: levels traversed).
         self.levels_fetched = 0
 
     def lookup(self, root: Optional[NodeKey], target: Interval) -> List[Fragment]:
@@ -588,14 +407,12 @@ class SegmentTreeReader:
         self.levels_fetched = 0
         if root is None or target.empty:
             return []
-        if not self._vectored:
-            return self._lookup_scalar(root, target)
         fragments: List[Fragment] = []
         frontier: List[NodeKey] = (
             [root] if Interval.of(root.offset, root.size).overlaps(target) else []
         )
         while frontier:
-            found = _bulk_get(self._store, frontier)
+            found = self._store.get_many(frontier)
             self.levels_fetched += 1
             self.nodes_fetched += len(frontier)
             next_frontier: List[NodeKey] = []
@@ -611,54 +428,9 @@ class SegmentTreeReader:
         fragments.sort(key=lambda f: f.blob_offset)
         return fragments
 
-    def _lookup_scalar(self, root: NodeKey, target: Interval) -> List[Fragment]:
-        """The sequential seed traversal: one ``get`` round trip per node."""
-        fragments: List[Fragment] = []
-        stack: List[NodeKey] = [root]
-        while stack:
-            key = stack.pop()
-            node_iv = Interval.of(key.offset, key.size)
-            if not node_iv.overlaps(target):
-                continue
-            node: TreeNode = self._store.get(key)
-            self.nodes_fetched += 1
-            self.levels_fetched += 1
-            if isinstance(node, LeafNode):
-                fragments.extend(node.fragments_in(target))
-            else:
-                stack.extend(node.children_overlapping(target))
-        fragments.sort(key=lambda f: f.blob_offset)
-        return fragments
-
-    def visit_nodes(self, root: Optional[NodeKey], target: Interval) -> List[NodeKey]:
-        """Return the node keys a lookup of ``target`` would touch (for analysis).
-
-        Used by the simulator and by tests to count metadata accesses without
-        materialising fragment lists.  Keys are returned in BFS order (level
-        by level, the order the vectored lookup fetches them).
-        """
-        if root is None or target.empty:
-            return []
-        if not Interval.of(root.offset, root.size).overlaps(target):
-            return []
-        visited: List[NodeKey] = []
-        frontier: List[NodeKey] = [root]
-        while frontier:
-            found = _bulk_get(self._store, frontier)
-            next_frontier: List[NodeKey] = []
-            for key in frontier:
-                node = found.get(key)
-                if node is None:
-                    raise MetadataNotFoundError(key)
-                visited.append(key)
-                if isinstance(node, InnerNode):
-                    next_frontier.extend(node.children_overlapping(target))
-            frontier = next_frontier
-        return visited
-
 
 # ---------------------------------------------------------------------------
-# Analysis helpers (used by tests, benchmarks and the simulator)
+# Analysis helpers
 # ---------------------------------------------------------------------------
 
 
@@ -667,9 +439,8 @@ def nodes_created_by_write(
 ) -> int:
     """Count the tree nodes a write of ``(offset, size)`` creates (no I/O).
 
-    Mirrors the builder's creation rule; used to model metadata overhead in
-    the simulator and to assert the builder's O(size/chunk + log span)
-    behaviour in tests.
+    Mirrors the builder's creation rule; tests use it to assert the
+    builder's O(size/chunk + log span) behaviour without weaving a tree.
     """
     if size <= 0:
         return 0

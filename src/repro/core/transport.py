@@ -7,8 +7,8 @@ what they cost:
 
 * :class:`DirectTransport` — today's wiring: plain in-process calls, with
   chunk transfers of a batch fanned out across a shared worker pool and
-  phase durations measured in wall time (the vectored metadata DHT fans
-  its per-provider bulk requests out over the same shared pool);
+  phase durations measured in wall time (the metadata DHT fans its
+  per-provider bulk requests out over the same shared pool);
 * :class:`SimTransport` — the same operations routed through the
   :mod:`repro.sim.network` latency/bandwidth models: every chunk transfer
   occupies the client uplink and the provider downlink, every control RPC
@@ -377,10 +377,10 @@ class _SimMetadataToken:
     """Recorded metadata accesses of one operation, awaiting time charging.
 
     Each entry is ``(provider_id, op, payload)`` exactly as the DHT's
-    ``access_hook`` fired it: scalar ops carry one key, bulk ops
-    (``get_many``/``put_many``) carry the tuple of keys one per-provider
-    bulk request grouped — the per-level provider groupings the replay
-    needs to charge a level as the *max* over providers instead of the sum.
+    ``access_hook`` fired it: bulk ops (``get_many``/``put_many``) carry the
+    tuple of keys one per-provider bulk request grouped — the per-level
+    provider groupings the replay needs to charge a level as the *max* over
+    providers instead of the sum — and scalar ops carry one key.
     """
 
     accesses: List[Tuple[str, str, Any]] = field(default_factory=list)
@@ -406,14 +406,14 @@ def charge_metadata_accesses(
     """Charge recorded metadata accesses on simulated time (a generator).
 
     The one cost model shared by :meth:`SimTransport.replay_metadata` and
-    the simulated cluster's client replay: a bulk access (one
-    ``get_many``/``put_many`` request per provider, as the vectored DHT
-    fires them) costs a single round trip carrying ``n`` nodes' payload and
-    ``n`` service times at that provider's CPU, with the providers of one
-    round running in parallel — a level costs the max over its providers.
-    Scalar accesses model the sequential seed client: one round trip at a
-    time, in recorded order.  ``leveled=True`` additionally orders rounds
-    root-level first, parents before children, as a tree lookup must.
+    the simulated cluster's client replay: an access (one
+    ``get_many``/``put_many`` request per provider, as the DHT fires them)
+    costs a single round trip carrying ``n`` nodes' payload and ``n``
+    service times at that provider's CPU, with the providers of one round
+    running in parallel — a level costs the max over its providers.  A
+    scalar access is a one-node round.  ``leveled=True`` additionally
+    orders rounds root-level first, parents before children, as a tree
+    lookup must.
 
     ``rpc_to(pid, request_bytes, response_bytes, service)`` must return the
     caller's request/response generator against provider ``pid``'s node.
@@ -427,19 +427,11 @@ def charge_metadata_accesses(
         else:
             yield from rpc_to(pid, 64 * count, model.metadata_node_bytes * count, service)
 
-    def scalar_chain(entries):
-        for pid, op, payload in entries:
-            yield from one_access(pid, op, payload)
-
     def charge_group(entries):
         children = [
             env.process(one_access(pid, op, payload), name=name)
             for pid, op, payload in entries
-            if op in ("get_many", "put_many")
         ]
-        scalars = [entry for entry in entries if entry[1] in ("get", "put")]
-        if scalars:
-            children.append(env.process(scalar_chain(scalars), name=name))
         if children:
             yield all_of_fn(env, children)
 
@@ -667,10 +659,8 @@ class SimTransport(Transport):
         """Charge the recorded metadata traffic on simulated time.
 
         Each token's accesses are charged by
-        :func:`charge_metadata_accesses`: bulk per-provider requests in
-        parallel (a level costs the max over its providers), scalar
-        accesses sequentially as the seed client issued them — that
-        difference *is* what the vectoring benchmark measures.  Tokens
+        :func:`charge_metadata_accesses`: per-provider bulk requests in
+        parallel, so a level costs the max over its providers.  Tokens
         belong to independent operations and replay concurrently.
         """
         from ..sim.engine import all_of

@@ -260,16 +260,6 @@ class DistributedKeyValueStore:
             states[pid] = (True, epoch, generation)
         return states
 
-    def filters_version(self) -> Tuple[Tuple[str, Any], ...]:
-        """A stamp that changes whenever any provider's key set may have.
-
-        Negative caches key their entries on this: any put bumps a
-        generation, any loss/rebuild bumps an epoch, any liveness flip
-        changes the triple — so a cached "not found" can never outlive the
-        condition that made it true.
-        """
-        return tuple(sorted(self.filter_states().items()))
-
     def _note_skips(self, count: int) -> None:
         self.filter_skipped_probes += count
         obs_metrics.registry().counter("filters.skipped_rpcs").inc(count)

@@ -48,7 +48,6 @@ class SimClient:
             )
         else:
             self.metadata = PassthroughMetadataStore(cluster.metadata_store)
-        self._vectored = client_config.vectored_metadata
 
     # ------------------------------------------------------------------ utilities
     @property
@@ -267,7 +266,7 @@ class SimClient:
             # weave: nothing to abort against either — the op just fails,
             # the version stays pending until the shard's state returns.
             return False
-        builder = SegmentTreeBuilder(self.metadata, blob.chunk_size, vectored=self._vectored)
+        builder = SegmentTreeBuilder(self.metadata, blob.chunk_size)
         try:
             with cluster.record_metadata_accesses() as accesses:
                 builder.build(
@@ -276,7 +275,6 @@ class SimClient:
                     write_interval=Interval.of(ticket.offset, ticket.size),
                     new_fragments=fragments,
                     history=history,
-                    base_size=ticket.base_blob_size,
                     new_size=ticket.new_blob_size,
                 )
         except Exception:
@@ -316,16 +314,13 @@ class SimClient:
         except ServiceError:
             return
         record = history[version - 1]
-        base_history = history[: version - 1]
-        base_size = base_history[-1].new_size if base_history else 0
-        builder = SegmentTreeBuilder(self.metadata, blob.chunk_size, vectored=self._vectored)
+        builder = SegmentTreeBuilder(self.metadata, blob.chunk_size)
         with cluster.record_metadata_accesses() as accesses:
             builder.build_noop(
                 blob_id=blob.blob_id,
                 version=version,
                 write_interval=record.interval,
-                history=base_history,
-                base_size=base_size,
+                history=history[: version - 1],
                 new_size=record.new_size,
             )
         cluster.metadata_rounds += len(accesses)
@@ -363,7 +358,7 @@ class SimClient:
             return 0
         # Step 2: walk the segment tree (real code), charging a metadata RPC
         # per node that was not already in the client cache.
-        reader = SegmentTreeReader(self.metadata, snapshot.chunk_size, vectored=self._vectored)
+        reader = SegmentTreeReader(self.metadata, snapshot.chunk_size)
         with cluster.record_metadata_accesses() as accesses:
             fragments = reader.lookup(snapshot.root, target)
         cluster.metadata_rounds += len(accesses)

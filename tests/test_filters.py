@@ -5,7 +5,7 @@ bound, snapshot/delta round trips through both wire codecs and the Bloofi
 filter tree, the DHT fallback-skip fast path's equivalence with the
 unfiltered walk under randomized churn (including the stale-filter and
 100%-false-positive-injection invariants), scrub skipping with seeded
-holes, and the client-side negative metadata cache.
+holes, and the client-side existence probe.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.core.errors import MetadataNotFoundError
-from repro.core.metadata.cache import MetadataCache
+from repro.core.metadata.cache import MetadataCache, PassthroughMetadataStore
 from repro.dht.distributed_store import DistributedKeyValueStore
 from repro.filters.bloom import BloomFilter, FilterDelta, FilterSnapshot, MaintainedFilter
 from repro.filters.tree import FilterTree
@@ -273,44 +273,14 @@ class TestScrubSkipping:
         assert scrubber.skipped_batches == 0
 
 
-class TestNegativeMetadataCache:
-    def test_negative_hit_and_invalidation_on_put(self):
-        store = _make_store(filters_enabled=True)
-        cache = MetadataCache(
-            store, negative_capacity=64, epoch_source=store.filters_version
-        )
-        probes = []
-        store.access_hook = lambda pid, op, key: probes.append((pid, op))
-        key = ("node", 1)
-        with pytest.raises(MetadataNotFoundError):
-            cache.get(key)
-        probed_once = len(probes)
-        assert probed_once > 0
-        with pytest.raises(MetadataNotFoundError):
-            cache.get(key)  # served from the negative cache
-        assert cache.negative_hits == 1
-        assert len(probes) == probed_once
-        # Any put churns the filter stamp; the negative entry dies with it.
-        store.put(("other", 2), "x")
-        store.put(key, "now-present")
-        assert cache.get(key) == "now-present"
-
+class TestMetadataProbe:
     def test_probe_uses_cache_then_filters(self):
         store = _make_store(filters_enabled=True)
-        cache = MetadataCache(
-            store, negative_capacity=64, epoch_source=store.filters_version
-        )
+        cache = MetadataCache(store)
         store.put(("k", 5), "v")
         assert cache.probe(("k", 5)) is True
         assert cache.probe(("gone", 1)) is False
-        assert cache.probe(("gone", 1)) is False  # second one is a cache hit
-        assert cache.negative_hits == 1
-
-    def test_negative_cache_disabled_without_epoch_source(self):
-        store = _make_store(filters_enabled=True)
-        cache = MetadataCache(store, negative_capacity=64)
-        with pytest.raises(MetadataNotFoundError):
-            cache.get(("node", 1))
-        with pytest.raises(MetadataNotFoundError):
-            cache.get(("node", 1))
-        assert cache.negative_hits == 0
+        cache.put(("cached", 1), "c")
+        assert cache.probe(("cached", 1)) is True
+        assert PassthroughMetadataStore(store).probe(("gone", 1)) is False
+        assert MetadataCache(_make_store(filters_enabled=False)).probe(("k", 5)) is None

@@ -18,6 +18,7 @@ from repro.core.metadata import (
     MetadataCache,
     SegmentTreeBuilder,
     SegmentTreeReader,
+    WriteRecord,
 )
 from repro.core.types import ChunkKey, NodeKey
 from repro.dht import DistributedKeyValueStore
@@ -57,6 +58,8 @@ class CountingStore:
         self.put_rounds = 0
         self.scalar_gets = 0
         self.scalar_puts = 0
+        #: Keys of every ``get_many`` round, in order.
+        self.frontiers = []
 
     def get(self, key):
         self.scalar_gets += 1
@@ -68,6 +71,7 @@ class CountingStore:
 
     def get_many(self, keys):
         self.get_rounds += 1
+        self.frontiers.append(list(keys))
         return self.backend.get_many(keys)
 
     def put_many(self, items):
@@ -243,7 +247,7 @@ class TestVectoredCache:
 # ---------------------------------------------------------------------------
 
 
-def build_version(store, version, offset, size, history, base_size, new_size):
+def build_version(store, version, offset, size, history, new_size):
     builder = SegmentTreeBuilder(store, CS)
     root = builder.build(
         blob_id=1,
@@ -251,7 +255,6 @@ def build_version(store, version, offset, size, history, base_size, new_size):
         write_interval=Interval.of(offset, size),
         new_fragments=fragments_for(version, offset, size),
         history=history,
-        base_size=base_size,
         new_size=new_size,
     )
     return root, builder
@@ -259,21 +262,41 @@ def build_version(store, version, offset, size, history, base_size, new_size):
 
 class TestFrontierLookup:
     def test_cold_lookup_is_one_get_many_round_per_level(self):
+        # Parametrised in a loop so the test keeps one id across tree sizes.
+        for chunks in (8, 64, 512):
+            store = make_store()
+            root, _ = build_version(store, 1, 0, chunks * CS, [], chunks * CS)
+            counting = CountingStore(store)
+            reader = SegmentTreeReader(counting, CS)
+            fragments = reader.lookup(root, Interval.of(0, chunks * CS))
+            assert sum(f.length for f in fragments) == chunks * CS
+            depth = chunks.bit_length() - 1
+            assert reader.levels_fetched == depth + 1, chunks
+            assert counting.get_rounds == depth + 1, chunks
+            assert counting.scalar_gets == 0
+            assert reader.nodes_fetched == 2 * chunks - 1
+
+    def test_visit_nodes_is_bfs_ordered(self):
+        # The nodes lookup visits come level by level: root first, and node
+        # sizes never grow from one get_many round to the next.
         store = make_store()
-        # 8 chunks -> span 8*CS, depth 3, 4 levels.
-        root, _ = build_version(store, 1, 0, 8 * CS, [], 0, 8 * CS)
+        build_version(store, 1, 0, 8 * CS, [], 8 * CS)
+        history = [WriteRecord(version=1, offset=0, size=8 * CS, new_size=8 * CS)]
+        # Version 2 overwrites chunks 3-7 and grows the blob to 12 chunks:
+        # its tree mixes new nodes with nodes borrowed from version 1.
+        root2, _ = build_version(store, 2, 3 * CS, 9 * CS, history, 12 * CS)
         counting = CountingStore(store)
         reader = SegmentTreeReader(counting, CS)
-        fragments = reader.lookup(root, Interval.of(0, 8 * CS))
-        assert sum(f.length for f in fragments) == 8 * CS
-        assert reader.levels_fetched == 4
-        assert counting.get_rounds == 4
-        assert counting.scalar_gets == 0
-        assert reader.nodes_fetched == 15  # 1 + 2 + 4 + 8
+        reader.lookup(root2, Interval.of(CS, 6 * CS))
+        assert counting.frontiers[0] == [root2]
+        sizes = [key.size for frontier in counting.frontiers for key in frontier]
+        assert sizes == sorted(sizes, reverse=True)
+        assert len(sizes) == reader.nodes_fetched
+        assert {key.version for frontier in counting.frontiers for key in frontier} == {1, 2}
 
     def test_cold_cached_lookup_same_rounds_then_zero_backend_rounds(self):
         store = make_store()
-        root, _ = build_version(store, 1, 0, 8 * CS, [], 0, 8 * CS)
+        root, _ = build_version(store, 1, 0, 8 * CS, [], 8 * CS)
         counting = CountingStore(store)
         cache = MetadataCache(counting, capacity=1024)
         reader = SegmentTreeReader(cache, CS)
@@ -283,29 +306,12 @@ class TestFrontierLookup:
         assert counting.get_rounds == 4  # warm: everything served locally
         assert reader.levels_fetched == 4  # levels still traversed
 
-    def test_scalar_mode_reproduces_seed_round_counts(self):
-        store = make_store()
-        root, _ = build_version(store, 1, 0, 8 * CS, [], 0, 8 * CS)
-        reader = SegmentTreeReader(store, CS, vectored=False)
-        reader.lookup(root, Interval.of(0, 8 * CS))
-        assert reader.nodes_fetched == 15
-        assert reader.levels_fetched == 15  # one round trip per node
-
     def test_missing_node_raises(self):
         store = make_store()
-        root, _ = build_version(store, 1, 0, 4 * CS, [], 0, 4 * CS)
+        root, _ = build_version(store, 1, 0, 4 * CS, [], 4 * CS)
         reader = SegmentTreeReader(store, CS)
         with pytest.raises(MetadataNotFoundError):
             reader.lookup(NodeKey(1, 99, 0, 4 * CS), Interval.of(0, 4 * CS))
-
-    def test_visit_nodes_is_bfs_ordered(self):
-        store = make_store()
-        root, _ = build_version(store, 1, 0, 8 * CS, [], 0, 8 * CS)
-        reader = SegmentTreeReader(store, CS)
-        visited = reader.visit_nodes(root, Interval.of(0, 8 * CS))
-        sizes = [key.size for key in visited]
-        assert sizes == sorted(sizes, reverse=True)
-        assert visited[0] == root
 
 
 class TestLevelBatchedBuilder:
@@ -319,28 +325,12 @@ class TestLevelBatchedBuilder:
             write_interval=Interval.of(0, 8 * CS),
             new_fragments=fragments_for(1, 0, 8 * CS),
             history=[],
-            base_size=0,
             new_size=8 * CS,
         )
         assert builder.nodes_written == 15
         assert builder.put_rounds == 4
         assert counting.put_rounds == 4
         assert counting.scalar_puts == 0
-
-    def test_scalar_mode_puts_per_node(self):
-        store = make_store()
-        builder = SegmentTreeBuilder(store, CS, vectored=False)
-        builder.build(
-            blob_id=1,
-            version=1,
-            write_interval=Interval.of(0, 8 * CS),
-            new_fragments=fragments_for(1, 0, 8 * CS),
-            history=[],
-            base_size=0,
-            new_size=8 * CS,
-        )
-        assert builder.nodes_written == 15
-        assert builder.put_rounds == 15
 
     def test_crash_mid_flush_never_orphans_a_parent(self):
         """A builder dying between level flushes must leave children-before-
@@ -363,7 +353,6 @@ class TestLevelBatchedBuilder:
                 write_interval=Interval.of(0, 8 * CS),
                 new_fragments=fragments_for(1, 0, 8 * CS),
                 history=[],
-                base_size=0,
                 new_size=8 * CS,
             )
         written = {
@@ -402,7 +391,6 @@ class TestLevelBatchedBuilder:
             write_interval=Interval.of(0, 8 * CS),
             new_fragments=fragments_for(1, 0, 8 * CS),
             history=[],
-            base_size=0,
             new_size=8 * CS,
         )
         # The provider rejoins having lost its store: both its pre-crash
@@ -427,9 +415,7 @@ class TestLevelBatchedBuilder:
 
     def test_builder_batches_base_leaf_fetches(self):
         store = make_store()
-        root1, _ = build_version(store, 1, 0, 8 * CS, [], 0, 8 * CS)
-        from repro.core.metadata import WriteRecord
-
+        build_version(store, 1, 0, 8 * CS, [], 8 * CS)
         history = [WriteRecord(version=1, offset=0, size=8 * CS, new_size=8 * CS)]
         counting = CountingStore(store)
         builder = SegmentTreeBuilder(counting, CS)
@@ -449,53 +435,51 @@ class TestLevelBatchedBuilder:
                 )
             ],
             history=history,
-            base_size=8 * CS,
             new_size=8 * CS,
         )
         assert builder.base_leaves_fetched == 2  # the two half-written leaves
         assert counting.get_rounds == 1
 
 
-class TestVectoredScalarEquivalence:
+class TestSnapshotFold:
+    """The paper's versioning contract: snapshot ``v`` reads as exactly the
+    writes ``1..v`` applied in order to an empty blob."""
+
+    @pytest.mark.parametrize("metadata_cache", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_randomized_workloads_read_identically(self, seed):
+    def test_snapshots_read_as_fold_of_writes(self, seed, metadata_cache):
         rng = random.Random(seed)
-        config_kwargs = dict(
-            num_data_providers=4, num_metadata_providers=4, chunk_size=CS
+        config = BlobSeerConfig(
+            num_data_providers=4,
+            num_metadata_providers=4,
+            chunk_size=CS,
+            client=ClientConfig(metadata_cache=metadata_cache),
         )
-        vec_config = BlobSeerConfig(
-            **config_kwargs, client=ClientConfig(metadata_cache=False)
-        )
-        seq_config = BlobSeerConfig(
-            **config_kwargs,
-            client=ClientConfig(metadata_cache=False, vectored_metadata=False),
-        )
-        with BlobSeerDeployment(vec_config) as vec, BlobSeerDeployment(seq_config) as seq:
-            vec_blob = vec.client().create_blob()
-            seq_blob = seq.client().create_blob()
-            size = 0
-            for step in range(12):
-                if size == 0 or rng.random() < 0.4:
-                    payload = bytes([rng.randrange(256)]) * rng.randrange(1, 6 * CS)
-                    vec_blob.append(payload)
-                    seq_blob.append(payload)
-                    size += len(payload)
+        with BlobSeerDeployment(config) as deployment:
+            blob = deployment.client().create_blob()
+            snapshots = [bytes()]
+            for _ in range(12):
+                state = bytearray(snapshots[-1])
+                payload = rng.randbytes(rng.randrange(1, 6 * CS))
+                if not state or rng.random() < 0.4:
+                    version = blob.append(payload)
+                    state += payload
                 else:
-                    offset = rng.randrange(0, size)
-                    payload = bytes([rng.randrange(256)]) * rng.randrange(1, 4 * CS)
-                    vec_blob.write(offset, payload)
-                    seq_blob.write(offset, payload)
-                    size = max(size, offset + len(payload))
-            assert vec_blob.size() == seq_blob.size() == size
-            for _ in range(20):
-                offset = rng.randrange(0, size)
-                length = rng.randrange(1, size - offset + 1)
-                assert vec_blob.read(offset, length) == seq_blob.read(offset, length)
-            # Old snapshots agree too.
-            for version in range(1, vec_blob.latest_version() + 1):
-                assert vec_blob.read(0, size, version=version) == seq_blob.read(
-                    0, size, version=version
-                )
+                    # Unaligned overwrite that may run past the end.
+                    offset = rng.randrange(0, len(state))
+                    version = blob.write(offset, payload)
+                    state[offset : offset + len(payload)] = payload
+                assert version == len(snapshots)
+                snapshots.append(bytes(state))
+            for version, expected in enumerate(snapshots):
+                assert blob.read(0, len(expected) + CS, version=version) == expected
+                if len(expected) > 2:
+                    offset = rng.randrange(1, len(expected) - 1)
+                    length = rng.randrange(1, len(expected) - offset + 1)
+                    assert (
+                        blob.read(offset, length, version=version)
+                        == expected[offset : offset + length]
+                    )
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,6 @@ class TestGeometry:
             write_interval=Interval.of(0, 4 * CS),
             new_fragments=fragments_for(1, 0, 4 * CS),
             history=[],
-            base_size=0,
             new_size=4 * CS,
         )
         assert builder.nodes_written == nodes_created_by_write(0, 4 * CS, 4 * CS, CS)
@@ -125,7 +124,7 @@ class TestFragments:
 
 
 class TestBuilderAndReader:
-    def build_version(self, store, version, offset, size, history, base_size, new_size):
+    def build_version(self, store, version, offset, size, history, new_size):
         builder = SegmentTreeBuilder(store, CS)
         root = builder.build(
             blob_id=1,
@@ -133,14 +132,13 @@ class TestBuilderAndReader:
             write_interval=Interval.of(offset, size),
             new_fragments=fragments_for(version, offset, size),
             history=history,
-            base_size=base_size,
             new_size=new_size,
         )
         return root, builder
 
     def test_single_write_readable(self):
         store = make_store()
-        root, _ = self.build_version(store, 1, 0, 64, [], 0, 64)
+        root, _ = self.build_version(store, 1, 0, 64, [], 64)
         reader = SegmentTreeReader(store, CS)
         frags = reader.lookup(root, Interval(0, 64))
         assert sum(f.length for f in frags) == 64
@@ -148,25 +146,62 @@ class TestBuilderAndReader:
 
     def test_lookup_subrange_touches_logarithmic_nodes(self):
         store = make_store()
-        root, _ = self.build_version(store, 1, 0, 16 * CS, [], 0, 16 * CS)
+        root, _ = self.build_version(store, 1, 0, 16 * CS, [], 16 * CS)
         reader = SegmentTreeReader(store, CS)
         frags = reader.lookup(root, Interval.of(5 * CS, CS))
         assert len(frags) == 1 and frags[0].blob_offset == 5 * CS
         # One root-to-leaf path: depth is log2(16) + 1 = 5 nodes.
         assert reader.nodes_fetched == 5
 
+    def test_visit_nodes_matches_lookup_traversal(self):
+        store = make_store()
+        history = []
+        self.build_version(store, 1, 0, 8 * CS, history, 8 * CS)
+        history.append(WriteRecord(1, 0, 8 * CS, 8 * CS))
+        root2, _ = self.build_version(store, 2, 3 * CS, 9 * CS, history, 12 * CS)
+        target = Interval.of(CS, 6 * CS)
+
+        # Reference: a one-get-per-node depth-first walk over the same tree.
+        expected = []
+
+        def walk(key):
+            expected.append(key)
+            node = store.get(key)
+            if isinstance(node, InnerNode):
+                for child in node.children_overlapping(target):
+                    walk(child)
+
+        walk(root2)
+
+        visited = []
+
+        class Recording:
+            def get_many(self, keys):
+                visited.extend(keys)
+                return store.get_many(keys)
+
+        reader = SegmentTreeReader(Recording(), CS)
+        frags = reader.lookup(root2, target)
+        assert set(visited) == set(expected)
+        assert len(visited) == len(set(visited)) == len(expected) == reader.nodes_fetched
+        leaves = [node for node in map(store.get, expected) if isinstance(node, LeafNode)]
+        assert frags == sorted(
+            (f for leaf in leaves for f in leaf.fragments_in(target)),
+            key=lambda f: f.blob_offset,
+        )
+
     def test_unwritten_range_is_a_hole(self):
         store = make_store()
-        root, _ = self.build_version(store, 1, 0, 32, [], 0, 32)
+        root, _ = self.build_version(store, 1, 0, 32, [], 32)
         reader = SegmentTreeReader(store, CS)
         assert reader.lookup(root, Interval(100, 200)) == []
 
     def test_old_version_untouched_by_new_write(self):
         store = make_store()
         history = []
-        root1, _ = self.build_version(store, 1, 0, 64, history, 0, 64)
+        root1, _ = self.build_version(store, 1, 0, 64, history, 64)
         history.append(WriteRecord(1, 0, 64, 64))
-        root2, _ = self.build_version(store, 2, 16, 16, history, 64, 64)
+        root2, _ = self.build_version(store, 2, 16, 16, history, 64)
         reader = SegmentTreeReader(store, CS)
         v1 = reader.lookup(root1, Interval(0, 64))
         assert all(f.key.write_id == 1 for f in v1)
@@ -178,10 +213,10 @@ class TestBuilderAndReader:
     def test_unchanged_subtrees_are_shared_not_copied(self):
         store = make_store()
         history = []
-        self.build_version(store, 1, 0, 16 * CS, history, 0, 16 * CS)
+        self.build_version(store, 1, 0, 16 * CS, history, 16 * CS)
         history.append(WriteRecord(1, 0, 16 * CS, 16 * CS))
         before = store.total_entries()
-        _, builder = self.build_version(store, 2, 0, CS, history, 16 * CS, 16 * CS)
+        _, builder = self.build_version(store, 2, 0, CS, history, 16 * CS)
         added = store.total_entries() - before
         # Only the root-to-leaf path is new: log2(16)+1 = 5 nodes (per replica).
         assert added == 5
@@ -190,9 +225,9 @@ class TestBuilderAndReader:
     def test_append_grows_tree_and_borrows_old_root(self):
         store = make_store()
         history = []
-        root1, _ = self.build_version(store, 1, 0, 2 * CS, history, 0, 2 * CS)
+        root1, _ = self.build_version(store, 1, 0, 2 * CS, history, 2 * CS)
         history.append(WriteRecord(1, 0, 2 * CS, 2 * CS))
-        root2, _ = self.build_version(store, 2, 2 * CS, 6 * CS, history, 2 * CS, 8 * CS)
+        root2, _ = self.build_version(store, 2, 2 * CS, 6 * CS, history, 8 * CS)
         assert root2.size == 8 * CS
         node = store.get(root2)
         assert isinstance(node, InnerNode)
@@ -205,7 +240,7 @@ class TestBuilderAndReader:
     def test_partial_chunk_overwrite_merges_with_base_leaf(self):
         store = make_store()
         history = []
-        root1, _ = self.build_version(store, 1, 0, CS, history, 0, CS)
+        root1, _ = self.build_version(store, 1, 0, CS, history, CS)
         history.append(WriteRecord(1, 0, CS, CS))
         # Overwrite bytes [4, 12) of the single chunk.
         builder = SegmentTreeBuilder(store, CS)
@@ -215,7 +250,6 @@ class TestBuilderAndReader:
             write_interval=Interval(4, 12),
             new_fragments=[fragment(2, 4, 8)],
             history=history,
-            base_size=CS,
             new_size=CS,
         )
         reader = SegmentTreeReader(store, CS)
@@ -228,12 +262,12 @@ class TestBuilderAndReader:
         store = make_store()
         builder = SegmentTreeBuilder(store, CS)
         with pytest.raises(ValueError):
-            builder.build(1, 1, Interval(0, 0), [], [], 0, 0)
+            builder.build(1, 1, Interval(0, 0), [], [], 0)
 
     def test_build_noop_exposes_base_content(self):
         store = make_store()
         history = []
-        self.build_version(store, 1, 0, 64, history, 0, 64)
+        self.build_version(store, 1, 0, 64, history, 64)
         history.append(WriteRecord(1, 0, 64, 64))
         builder = SegmentTreeBuilder(store, CS)
         # Version 2 "failed": repair exposes version 1's content unchanged.
@@ -242,21 +276,12 @@ class TestBuilderAndReader:
             version=2,
             write_interval=Interval(0, 64),
             history=history,
-            base_size=64,
             new_size=64,
         )
         reader = SegmentTreeReader(store, CS)
         frags = reader.lookup(root2, Interval(0, 64))
         assert all(f.key.write_id == 1 for f in frags)
         assert sum(f.length for f in frags) == 64
-
-    def test_visit_nodes_matches_lookup_traversal(self):
-        store = make_store()
-        root, _ = self.build_version(store, 1, 0, 8 * CS, [], 0, 8 * CS)
-        reader = SegmentTreeReader(store, CS)
-        visited = reader.visit_nodes(root, Interval.of(0, 2 * CS))
-        assert root in visited
-        assert all(isinstance(key, NodeKey) for key in visited)
 
 
 class TestMetadataOverheadScaling:
