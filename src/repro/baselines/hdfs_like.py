@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.config import BlobSeerConfig
 from ..core.data_provider import ProviderPool
-from ..core.errors import ClientError, InvalidRangeError
+from ..core.errors import ClientError, InvalidRangeError, ProviderUnavailableError
 from ..core.interval import Interval
 from ..core.provider_manager import make_strategy
 from ..core.types import ChunkKey
@@ -121,7 +121,7 @@ class HdfsLikeFileSystem:
             for provider_id in block.providers:
                 try:
                     self.pool.get(provider_id).delete_chunk(block.key)
-                except Exception:
+                except ProviderUnavailableError:
                     continue
         return True
 

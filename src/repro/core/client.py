@@ -54,7 +54,6 @@ from .config import ClientConfig
 from .errors import (
     EpochRetryError,
     InvalidRangeError,
-    MetadataNotFoundError,
     ReplicationError,
     ServiceError,
 )
@@ -190,8 +189,6 @@ class BlobSeerClient:
             "metadata_nodes_fetched": 0,
             "metadata_levels_fetched": 0,
             "metadata_put_rounds": 0,
-            "metadata_probes": 0,
-            "metadata_probe_negatives": 0,
         }
 
     # -- blob lifecycle --------------------------------------------------------------
@@ -221,19 +218,7 @@ class BlobSeerClient:
         return self._metadata.stats
 
     def lookup_fragments(self, snapshot: SnapshotInfo, target: Interval) -> List[Fragment]:
-        """Walk ``snapshot``'s segment tree for the fragments covering ``target``.
-
-        Version-existence fast path first: the filter tree is asked whether
-        the snapshot's root node exists anywhere before the descent.  An
-        exact negative (filters never report false negatives) saves the
-        whole replica walk; "maybe"/None just proceeds to the lookup.
-        """
-        if snapshot.root is not None:
-            verdict = self._metadata.probe(snapshot.root)
-            self.counters["metadata_probes"] += 1
-            if verdict is False:
-                self.counters["metadata_probe_negatives"] += 1
-                raise MetadataNotFoundError(snapshot.root)
+        """Walk ``snapshot``'s segment tree for the fragments covering ``target``."""
         reader = SegmentTreeReader(self._metadata, snapshot.chunk_size)
         fragments = reader.lookup(snapshot.root, target)
         self.counters["metadata_nodes_fetched"] += reader.nodes_fetched

@@ -80,18 +80,6 @@ class BlobSeerConfig:
     #: Skip a scrub tick when the clients' metadata RPC rate over the last
     #: window exceeds this many rounds/second (0 = no backpressure).
     scrub_backpressure_rpc_rate: float = 0.0
-    #: Maintain per-provider Bloom filters over held keys, aggregated into
-    #: a Bloofi-style filter tree (ROADMAP item 4): negative lookups skip
-    #: provably-empty fallback replicas, the snapshot-read path probes
-    #: version existence before descending, and the scrubber skips
-    #: provably-synced ring segments.  Strictly an accelerator — disabling
-    #: it restores the exact unfiltered behaviour.
-    filters_enabled: bool = True
-    #: Target false-positive rate each provider filter is sized for.
-    filters_target_fp: float = 0.01
-    #: Deletes tolerated on a provider before its filter is rebuilt from
-    #: the live key set (bits cannot be cleared in place).
-    filters_rebuild_threshold: int = 64
     #: How client operations reach the services: ``"direct"`` composes the
     #: deployment in-process (the default); ``"network"`` spawns each
     #: service as its own process and talks framed RPC over TCP
@@ -216,12 +204,6 @@ def validate_config(config: BlobSeerConfig) -> None:
         raise InvalidConfigError("scrub_max_batches_per_tick must be >= 0")
     if config.scrub_backpressure_rpc_rate < 0:
         raise InvalidConfigError("scrub_backpressure_rpc_rate must be >= 0")
-    if not 0.0 < config.filters_target_fp < 1.0:
-        raise InvalidConfigError(
-            "filters_target_fp must be strictly between 0 and 1"
-        )
-    if config.filters_rebuild_threshold < 1:
-        raise InvalidConfigError("filters_rebuild_threshold must be >= 1")
     if config.transport not in ("direct", "network"):
         raise InvalidConfigError(
             f"unknown transport {config.transport!r}; expected 'direct' or 'network'"

@@ -13,14 +13,17 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional
 
-from ..filters.bloom import FilterDelta, FilterSnapshot, MaintainedFilter
 from ..storage.memory_store import ChunkStore, MemoryChunkStore
 from .errors import ChunkNotFoundError, ProviderUnavailableError
 from .types import ChunkKey, ProviderStats
 
 
 class DataProvider:
-    """One storage node of the deployment."""
+    """One storage node of the deployment.
+
+    Chunk and byte counts are read from the backing store; ``stats`` holds
+    only the read/write traffic counters that ``report()`` passes on.
+    """
 
     def __init__(
         self,
@@ -39,14 +42,6 @@ class DataProvider:
         # Batched clients fan chunk pushes out across a worker pool, so the
         # capacity check and the statistics must update atomically.
         self._lock = threading.Lock()
-        #: Bloom summary of the held chunk keys (mutated under ``_lock``),
-        #: served over the same ``filter_snapshot``/``filter_delta`` surface
-        #: as the metadata stores.  Seeded from the store in case the
-        #: backing store already holds chunks (persistent restart).
-        self._filter = MaintainedFilter()
-        existing = self._store.keys()
-        if existing:
-            self._filter.rebuild(existing)
 
     # -- liveness ---------------------------------------------------------------
     @property
@@ -56,18 +51,12 @@ class DataProvider:
     def crash(self) -> None:
         """Simulate a failure: the provider stops answering requests."""
         self._alive = False
-        self.stats.alive = False
 
     def recover(self, lose_data: bool = False) -> None:
         """Bring the provider back; optionally with all stored chunks lost."""
         if lose_data and hasattr(self._store, "clear"):
             self._store.clear()  # type: ignore[attr-defined]
-            self.stats.chunks_stored = 0
-            self.stats.bytes_stored = 0
-            with self._lock:
-                self._filter.rebuild([])
         self._alive = True
-        self.stats.alive = True
 
     def _check_alive(self) -> None:
         if not self._alive:
@@ -87,9 +76,6 @@ class DataProvider:
             self._store.put(key, data)
             if not already:
                 self.stats.record_write(len(data))
-                self._filter.add(key)
-                if self._filter.needs_rebuild(len(self._store)):
-                    self._filter.rebuild(self._store.keys())
 
     def get_chunk(self, key: ChunkKey) -> bytes:
         """Fetch one chunk's payload."""
@@ -99,45 +85,14 @@ class DataProvider:
             self.stats.record_read(len(data))
         return data
 
-    def has_chunk(self, key: ChunkKey) -> bool:
-        self._check_alive()
-        # Filter fast path: an excluded key is provably absent (filters have
-        # no false negatives), saving the backing-store lookup entirely.
-        with self._lock:
-            if not self._filter.may_contain(key):
-                return False
-        return self._store.contains(key)
-
     def delete_chunk(self, key: ChunkKey) -> bool:
         """Drop a chunk (garbage collection of pruned snapshots only)."""
         self._check_alive()
-        removed = self._store.delete(key)
-        if removed:
-            self.stats.chunks_stored -= 1
-            with self._lock:
-                self._filter.note_delete()
-                if self._filter.needs_rebuild(len(self._store)):
-                    self._filter.rebuild(self._store.keys())
-        return removed
+        return self._store.delete(key)
 
     def chunk_keys(self) -> List[ChunkKey]:
         self._check_alive()
         return self._store.keys()
-
-    # -- bloom filter surface ----------------------------------------------------
-    def filter_state(self) -> "tuple[int, int]":
-        with self._lock:
-            return self._filter.state()
-
-    def filter_snapshot(self) -> FilterSnapshot:
-        with self._lock:
-            return self._filter.snapshot(self.provider_id)
-
-    def filter_delta(
-        self, epoch: int = 0, since_generation: int = 0
-    ) -> "FilterDelta | FilterSnapshot":
-        with self._lock:
-            return self._filter.delta(self.provider_id, epoch, since_generation)
 
     # -- introspection ----------------------------------------------------------
     @property

@@ -49,9 +49,6 @@ class BlobSeerDeployment:
             ],
             virtual_nodes=self.config.dht_virtual_nodes,
             replication=self.config.metadata_replication,
-            filters_enabled=self.config.filters_enabled,
-            filters_target_fp=self.config.filters_target_fp,
-            filters_rebuild_threshold=self.config.filters_rebuild_threshold,
         )
         # The version-coordinator service: blobs are routed to one of
         # ``num_version_managers`` shards, each its own serialisation domain.

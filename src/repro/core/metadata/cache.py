@@ -71,20 +71,6 @@ class MetadataCache:
         self._backend.put(key, value)
         self._insert(key, value)
 
-    def probe(self, key: Any) -> Optional[bool]:
-        """Cheap existence check: cache, then the backend's filter tree.
-
-        ``True``/``False`` are exact; ``None`` means the question cannot be
-        answered locally (no filter surface) and the caller should just
-        perform the read.
-        """
-        if key in self._entries:
-            return True
-        probe = getattr(self._backend, "probe_exists", None)
-        if probe is None:
-            return None
-        return probe(key)
-
     # -- vectored interface ----------------------------------------------------
     def get_many(self, keys: Sequence[Any]) -> Dict[Any, Any]:
         """Bulk get: serve hits locally, forward only the misses to the DHT.
@@ -178,13 +164,6 @@ class PassthroughMetadataStore:
 
     def put_many(self, items: Iterable[Tuple[Any, Any]]) -> None:
         self._backend.put_many(items)
-
-    def probe(self, key: Any) -> Optional[bool]:
-        """Delegate existence probes straight to the backend's filter tree."""
-        probe = getattr(self._backend, "probe_exists", None)
-        if probe is None:
-            return None
-        return probe(key)
 
     def clear(self) -> None:  # pragma: no cover - nothing to clear
         return None

@@ -130,19 +130,12 @@ class ProviderStats:
     """Load statistics reported by (or tracked for) one data provider."""
 
     provider_id: str
-    chunks_stored: int = 0
-    bytes_stored: int = 0
     reads_served: int = 0
     writes_served: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
-    #: Pending allocation count used by load-aware placement.
-    pending_allocations: int = 0
-    alive: bool = True
 
     def record_write(self, nbytes: int) -> None:
-        self.chunks_stored += 1
-        self.bytes_stored += nbytes
         self.writes_served += 1
         self.bytes_written += nbytes
 

@@ -25,9 +25,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from ..core.errors import MetadataNotFoundError, ServiceError
 from ..core.transport import parallel_map
-from ..filters.bloom import DEFAULT_REBUILD_THRESHOLD, DEFAULT_TARGET_FP
-from ..filters.tree import FilterTree
-from ..obs import metrics as obs_metrics
 from .hashing import ring_position
 from .ring import ConsistentHashRing
 from .store import KeyValueStore
@@ -36,20 +33,21 @@ from .store import KeyValueStore
 #: up; below it, the thread handoff costs more than the in-process calls.
 MIN_PARALLEL_PROVIDER_GROUPS = 4
 
-_NOT_FOUND = object()
-
 
 class DistributedKeyValueStore:
-    """A replicated key-value store partitioned over metadata providers."""
+    """A replicated key-value store partitioned over metadata providers.
+
+    Reads ask the live replica owners in ring order and stop at the first
+    hit; there is no existence filter in front of them.  A snapshot's tree
+    nodes are all written before its version is published, so readers only
+    ask for keys that were put, and a miss means a replica lost its copy.
+    """
 
     def __init__(
         self,
         provider_ids: Sequence[str],
         virtual_nodes: int = 32,
         replication: int = 1,
-        filters_enabled: bool = True,
-        filters_target_fp: float = DEFAULT_TARGET_FP,
-        filters_rebuild_threshold: int = DEFAULT_REBUILD_THRESHOLD,
     ) -> None:
         if not provider_ids:
             raise ValueError("at least one metadata provider is required")
@@ -59,27 +57,10 @@ class DistributedKeyValueStore:
         self._ring = ConsistentHashRing(virtual_nodes=virtual_nodes)
         self._stores: Dict[str, KeyValueStore] = {}
         self._alive: Dict[str, bool] = {}
-        self.filters_enabled = filters_enabled
-        self._filters_target_fp = filters_target_fp
-        self._filters_rebuild_threshold = filters_rebuild_threshold
         for pid in provider_ids:
             self._ring.add_node(pid)
-            self._stores[pid] = self._make_store(pid)
+            self._stores[pid] = KeyValueStore(provider_id=pid)
             self._alive[pid] = True
-        #: Bloofi-style union tree over the providers' Bloom filters; the
-        #: fallback-skip fast path and :meth:`probe_exists` consult it.
-        self._tree = FilterTree(list(provider_ids)) if filters_enabled else None
-        #: True when ``_stores`` holds in-process stores whose filters can be
-        #: synced exactly (and for free) before every probe.  The networked
-        #: subclass flips this off and revalidates over RPC instead.
-        self._filter_leaves_live = True
-        #: Test hook: force every filter probe to answer "maybe" (a 100%
-        #: false-positive rate) — results must stay byte-identical to the
-        #: unfiltered path, only slower.
-        self.filter_fp_injection = False
-        #: RPC-visible accounting for benchmarks/tests.
-        self.filter_skipped_probes = 0
-        self.filter_refreshes = 0
         #: Optional callback invoked as (provider_id, op, key) on every access;
         #: the simulator and the QoS monitor hook in here.  Scalar accesses
         #: fire with op ``"get"``/``"put"`` and a single key; vectored
@@ -87,14 +68,6 @@ class DistributedKeyValueStore:
         #: ``"get_many"``/``"put_many"`` and the *tuple* of keys that one
         #: bulk request carries.
         self.access_hook: Optional[Callable[[str, str, Any], None]] = None
-
-    def _make_store(self, pid: str) -> KeyValueStore:
-        return KeyValueStore(
-            provider_id=pid,
-            filters_enabled=self.filters_enabled,
-            filters_target_fp=self._filters_target_fp,
-            filters_rebuild_threshold=self._filters_rebuild_threshold,
-        )
 
     # -- membership / failure injection ---------------------------------------
     @property
@@ -130,10 +103,8 @@ class DistributedKeyValueStore:
         if provider_id in self._stores:
             raise ValueError(f"provider {provider_id!r} already exists")
         self._ring.add_node(provider_id)
-        self._stores[provider_id] = self._make_store(provider_id)
+        self._stores[provider_id] = KeyValueStore(provider_id=provider_id)
         self._alive[provider_id] = True
-        if self._tree is not None:
-            self._tree.add_leaf(provider_id)
 
     # -- key placement ----------------------------------------------------------
     def owners(self, key: Any) -> List[str]:
@@ -142,127 +113,6 @@ class DistributedKeyValueStore:
 
     def live_owners(self, key: Any) -> List[str]:
         return [pid for pid in self.owners(key) if self._alive[pid]]
-
-    # -- bloom filter plane (ROADMAP item 4) -------------------------------------
-    def _may_contain(self, pid: str, key: Any) -> bool:
-        """Filter verdict for one provider; "maybe" whenever in doubt."""
-        if self._tree is None or self.filter_fp_injection:
-            return True
-        if self._filter_leaves_live:
-            self._sync_leaf(pid)
-        return self._tree.leaf_may_contain(pid, key)
-
-    def _sync_leaf(self, pid: str) -> None:
-        """Bring an in-process leaf exactly current (cheap epoch/gen compare)."""
-        store = self._stores[pid]
-        state = store.filter_state()
-        known = self._tree.leaf_state(pid)
-        if known == state:
-            return
-        epoch, generation = known if known is not None else (0, 0)
-        self._apply_filter_update(pid, store.filter_delta(epoch, generation))
-
-    def _apply_filter_update(self, pid: str, update: Any) -> None:
-        """Apply a snapshot/delta; an unchainable delta forces a snapshot."""
-        if not self._tree.apply(update):
-            self._tree.apply_snapshot(self._stores[pid].filter_snapshot())
-
-    def refresh_filters(self, provider_ids: Optional[Sequence[str]] = None) -> int:
-        """Pull filter updates (compact deltas when possible) from providers.
-
-        One small call per live provider — a real RPC in networked mode, a
-        local call in-process.  Returns the number of providers refreshed.
-        """
-        if self._tree is None:
-            return 0
-        pids = (
-            list(provider_ids) if provider_ids is not None else sorted(self._stores)
-        )
-        refreshed = 0
-        for pid in pids:
-            if not self._alive.get(pid, False):
-                continue
-            known = self._tree.leaf_state(pid) or (0, 0)
-            try:
-                self._apply_filter_update(
-                    pid, self._stores[pid].filter_delta(known[0], known[1])
-                )
-            except (ServiceError, ConnectionError, OSError):
-                continue
-            refreshed += 1
-            self.filter_refreshes += 1
-        return refreshed
-
-    def probe_exists(self, key: Any) -> Optional[bool]:
-        """Exact existence check via the filter tree; None when filters are off.
-
-        ``False`` is trustworthy: the pruned tree descent costs O(log n)
-        local probes, and any surviving candidate set is intersected with
-        the key's replica owners (the only providers a ``get`` would ever
-        ask).  In-process leaves are synced first; remote leaves are
-        refreshed (owners only) before a negative verdict is returned.
-        """
-        if self._tree is None:
-            return None
-        if self.filter_fp_injection:
-            return True
-        live = self.live_owners(key)
-        if not live:
-            return None  # a service question, not an existence answer
-        reg = obs_metrics.registry()
-        reg.counter("filters.probes").inc()
-        if self._filter_leaves_live:
-            for pid in live:
-                self._sync_leaf(pid)
-        else:
-            # A never-refreshed remote leaf answers "maybe" for everything;
-            # pull the owners' filters once so the verdict is meaningful.
-            unknown = [pid for pid in live if self._tree.leaf_state(pid) is None]
-            if unknown:
-                self.refresh_filters(unknown)
-        candidates = self._tree.probe(key)
-        hits = [pid for pid in live if pid in candidates]
-        if not hits and not self._filter_leaves_live:
-            # Stale-filter guard: refresh just the owners' leaves over RPC
-            # and re-ask before trusting a negative.
-            self.refresh_filters(live)
-            hits = [pid for pid in live if self._tree.leaf_may_contain(pid, key)]
-        if not hits:
-            reg.counter("filters.probe_negatives").inc()
-            return False
-        return True
-
-    def filter_states(self) -> Dict[str, Optional[Tuple[bool, int, int]]]:
-        """Current (alive, filter epoch, generation) per provider.
-
-        The scrubber's change detector: a ring segment whose owners all
-        report the same triple as at the last clean pass provably received
-        no churn since.  ``None`` marks a provider whose state could not be
-        learned — callers must treat it as changed.
-        """
-        states: Dict[str, Optional[Tuple[bool, int, int]]] = {}
-        for pid in sorted(self._stores):
-            if not self._alive.get(pid, False):
-                states[pid] = (False, -1, -1)
-                continue
-            if self._tree is None:
-                states[pid] = None
-                continue
-            if self._filter_leaves_live:
-                epoch, generation = self._stores[pid].filter_state()
-            else:
-                self.refresh_filters([pid])
-                held = self._tree.leaf_state(pid)
-                if held is None:
-                    states[pid] = None
-                    continue
-                epoch, generation = held
-            states[pid] = (True, epoch, generation)
-        return states
-
-    def _note_skips(self, count: int) -> None:
-        self.filter_skipped_probes += count
-        obs_metrics.registry().counter("filters.skipped_rpcs").inc(count)
 
     # -- data plane ---------------------------------------------------------------
     def put(self, key: Any, value: Any) -> List[str]:
@@ -288,22 +138,10 @@ class DistributedKeyValueStore:
         written back to every live owner probed before it (they all missed),
         counted in that owner's ``repairs`` stat.
         """
-        owners = self.owners(key)
         missed: List[str] = []
-        skipped: List[str] = []
-        probed_live = False
-        for pid in owners:
+        for pid in self.owners(key):
             if not self._alive[pid]:
                 continue
-            if probed_live and not self._may_contain(pid, key):
-                # The fallback replica's filter excludes the key: provably a
-                # miss (filters have no false negatives), so skip the RPC but
-                # keep the owner in the repair set exactly as a probed miss
-                # would be.  The primary is never skipped.
-                skipped.append(pid)
-                missed.append(pid)
-                continue
-            probed_live = True
             if self.access_hook is not None:
                 self.access_hook(pid, "get", key)
             value = self._stores[pid].get_or_none(key)
@@ -311,34 +149,9 @@ class DistributedKeyValueStore:
                 self._repair([(key, value)], {key: missed})
                 return value
             missed.append(pid)
-        if skipped:
-            self._note_skips(len(skipped))
-            if not self._filter_leaves_live:
-                value = self._revalidate_get(key, skipped, missed)
-                if value is not _NOT_FOUND:
-                    return value
         if missed:
             raise MetadataNotFoundError(key)
         raise ServiceError(f"no live metadata provider owns key {key!r}")
-
-    def _revalidate_get(self, key: Any, skipped: List[str], missed: List[str]) -> Any:
-        """Stale-filter guard for remote leaves: before declaring a miss,
-        refresh the skipped owners' filters over RPC and probe any that may
-        hold the key after all — a false negative is thereby impossible even
-        when the client's tree lags the providers."""
-        self.refresh_filters(skipped)
-        for pid in skipped:
-            if not self._tree.leaf_may_contain(pid, key):
-                continue
-            if self.access_hook is not None:
-                self.access_hook(pid, "get", key)
-            value = self._stores[pid].get_or_none(key)
-            if value is not None:
-                # Repair exactly the owners an unfiltered walk would have
-                # probed (and missed) before reaching this one.
-                self._repair([(key, value)], {key: missed[: missed.index(pid)]})
-                return value
-        return _NOT_FOUND
 
     def put_many(self, items: Iterable[Tuple[Any, Any]]) -> Dict[Any, List[str]]:
         """Store several pairs, one bulk request per owning provider.
@@ -405,27 +218,12 @@ class DistributedKeyValueStore:
         found: Dict[Any, Any] = {}
         repaired: List[Tuple[Any, Any]] = []
         missed_at: Dict[Any, List[str]] = {}
-        skipped_at: Dict[Any, List[str]] = {}
         remaining = list(unique_keys)
         rank = 0
         while remaining:
             groups: Dict[str, List[Any]] = {}
-            round_skips = 0
             for key in remaining:
-                live = live_owners[key]
-                if rank < len(live):
-                    pid = live[rank]
-                    if rank > 0 and not self._may_contain(pid, key):
-                        # Fallback replica filtered out: provably a miss, so
-                        # skip its RPC.  It stays in ``live_owners[key][:r]``,
-                        # which keeps the read-repair target set identical to
-                        # the unfiltered walk's.
-                        skipped_at.setdefault(key, []).append(pid)
-                        round_skips += 1
-                        continue
-                    groups.setdefault(pid, []).append(key)
-            if not groups and not round_skips:
-                break
+                groups.setdefault(live_owners[key][rank], []).append(key)
             ordered = sorted(groups.items())
             if self.access_hook is not None:
                 for pid, group_keys in ordered:
@@ -449,47 +247,8 @@ class DistributedKeyValueStore:
                 if key not in found and rank + 1 < len(live_owners[key])
             ]
             rank += 1
-        total_skips = sum(len(pids) for pids in skipped_at.values())
-        if total_skips:
-            self._note_skips(total_skips)
-            if not self._filter_leaves_live:
-                self._revalidate_get_many(
-                    skipped_at, found, live_owners, repaired, missed_at
-                )
         self._repair(repaired, missed_at)
         return found
-
-    def _revalidate_get_many(
-        self,
-        skipped_at: Dict[Any, List[str]],
-        found: Dict[Any, Any],
-        live_owners: Dict[Any, List[str]],
-        repaired: List[Tuple[Any, Any]],
-        missed_at: Dict[Any, List[str]],
-    ) -> None:
-        """Stale-filter guard (remote leaves): any key still missing after
-        skips refreshes the skipped owners' filters and probes the ones that
-        may hold it after all, keeping the vectored path false-negative-free."""
-        leftovers = [key for key in skipped_at if key not in found]
-        if not leftovers:
-            return
-        self.refresh_filters(
-            sorted({pid for key in leftovers for pid in skipped_at[key]})
-        )
-        for key in leftovers:
-            for pid in skipped_at[key]:
-                if not self._tree.leaf_may_contain(pid, key):
-                    continue
-                if self.access_hook is not None:
-                    self.access_hook(pid, "get", key)
-                value = self._stores[pid].get_or_none(key)
-                if value is None:
-                    continue
-                found[key] = value
-                live = live_owners[key]
-                repaired.append((key, value))
-                missed_at[key] = live[: live.index(pid)]
-                break
 
     # -- read repair / anti-entropy / fan-out ------------------------------------
     def scan_keys(self) -> List[Any]:
@@ -563,6 +322,17 @@ class DistributedKeyValueStore:
 
     def contains(self, key: Any) -> bool:
         return self.get_or_none(key) is not None
+
+    def probe_exists(self, key: Any) -> Optional[bool]:
+        """Whether ``key`` is stored; ``None`` when no live provider owns it.
+
+        The benchmark tracer (``benchmarks/perf/blobperf/tracing.py``) wraps
+        this method by name and is its only user; it goes when ROADMAP item
+        7(a) deletes ``tracing.install()``.
+        """
+        if not self.live_owners(key):
+            return None
+        return key in self.get_many([key])
 
     # -- introspection ----------------------------------------------------------
     def load_per_provider(self) -> Dict[str, int]:

@@ -23,20 +23,6 @@ def stable_hash64(key: Any) -> int:
     return struct.unpack(">Q", digest)[0]
 
 
-def stable_hash_pair(key: Any) -> tuple:
-    """Two independent stable 64-bit hashes of ``key`` (for double hashing).
-
-    Bloom filters derive all of their ``k`` probe positions from the pair
-    ``h1 + i * h2`` (Kirsch–Mitzenmaier double hashing), so one 16-byte
-    digest per key is enough no matter how many hash functions the filter
-    is configured with.
-    """
-    payload = _key_bytes(key)
-    digest = hashlib.blake2b(payload, digest_size=16).digest()
-    h1, h2 = struct.unpack(">QQ", digest)
-    return h1, h2
-
-
 def _key_bytes(key: Any) -> bytes:
     """Serialise a key to bytes in a canonical, type-tagged form."""
     if isinstance(key, bytes):

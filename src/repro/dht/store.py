@@ -12,18 +12,9 @@ a write after a timeout may legitimately resend the same node.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import MetadataNotFoundError
-from ..obs import metrics as obs_metrics
-from ..filters.bloom import (
-    DEFAULT_REBUILD_THRESHOLD,
-    DEFAULT_TARGET_FP,
-    FilterDelta,
-    FilterSnapshot,
-    MaintainedFilter,
-)
 
 
 class _Missing:
@@ -37,26 +28,16 @@ _MISSING = _Missing()
 
 
 class KeyValueStore:
-    """In-memory, append-only key-value store for one metadata provider."""
+    """In-memory, append-only key-value store for one metadata provider.
 
-    def __init__(
-        self,
-        provider_id: str = "meta-0",
-        filters_enabled: bool = True,
-        filters_target_fp: float = DEFAULT_TARGET_FP,
-        filters_rebuild_threshold: int = DEFAULT_REBUILD_THRESHOLD,
-    ) -> None:
+    One lock guards the map; the bulk ``get_many``/``put_many`` calls take
+    it once per request, matching one RPC to a provider process.
+    """
+
+    def __init__(self, provider_id: str = "meta-0") -> None:
         self.provider_id = provider_id
         self._data: Dict[Any, Any] = {}
         self._lock = threading.Lock()
-        self.filters_enabled = filters_enabled
-        #: Bloom summary of the held key set, mutated under ``_lock`` in the
-        #: same critical section as ``_data`` so readers can never observe a
-        #: key the filter does not admit (the no-false-negative invariant).
-        self._filter = MaintainedFilter(
-            target_fp=filters_target_fp,
-            rebuild_threshold=filters_rebuild_threshold,
-        )
         self.puts = 0
         self.gets = 0
         self.hits = 0
@@ -80,8 +61,6 @@ class KeyValueStore:
                     f"metadata key {key!r} is immutable and already bound "
                     f"to a different value"
                 )
-            if key not in self._data and self.filters_enabled:
-                self._filter_add(key)
             self._data[key] = value
 
     def get(self, key: Any) -> Any:
@@ -109,8 +88,6 @@ class KeyValueStore:
                         f"metadata key {key!r} is immutable and already bound "
                         f"to a different value"
                     )
-                if key not in self._data and self.filters_enabled:
-                    self._filter_add(key)
                 self._data[key] = value
 
     def get_many(self, keys: Sequence[Any]) -> Dict[Any, Any]:
@@ -139,8 +116,6 @@ class KeyValueStore:
                     f"metadata key {key!r} is immutable and already bound "
                     f"to a different value"
                 )
-            if key not in self._data and self.filters_enabled:
-                self._filter_add(key)
             self._data[key] = value
             self.repairs += 1
 
@@ -156,12 +131,7 @@ class KeyValueStore:
     def delete(self, key: Any) -> bool:
         """Remove a key (used only by garbage collection of pruned versions)."""
         with self._lock:
-            removed = self._data.pop(key, _MISSING) is not _MISSING
-            if removed and self.filters_enabled:
-                self._filter.note_delete()
-                if self._filter.needs_rebuild(len(self._data)):
-                    self._rebuild_filter()
-            return removed
+            return self._data.pop(key, _MISSING) is not _MISSING
 
     def keys(self) -> List[Any]:
         with self._lock:
@@ -174,49 +144,6 @@ class KeyValueStore:
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
-            if self.filters_enabled:
-                self._rebuild_filter()
-
-    # -- bloom filter surface (ROADMAP item 4) ---------------------------
-
-    def _filter_add(self, key: Any) -> None:
-        """Admit a new key; regrow (new epoch) when past sized capacity."""
-        self._filter.add(key)
-        if self._filter.needs_rebuild(len(self._data) + 1):
-            self._rebuild_filter(extra=key)
-
-    def _rebuild_filter(self, extra: Any = _MISSING) -> None:
-        started = time.perf_counter()
-        keys: List[Any] = list(self._data.keys())
-        if extra is not _MISSING and extra not in self._data:
-            keys.append(extra)
-        self._filter.rebuild(keys)
-        obs_metrics.registry().counter("filters.rebuilds").inc()
-        obs_metrics.registry().histogram("filters.rebuild_seconds").record(
-            time.perf_counter() - started
-        )
-
-    def filter_state(self) -> Tuple[int, int]:
-        """Cheap (epoch, generation) stamp of the current filter."""
-        with self._lock:
-            return self._filter.state()
-
-    def filter_snapshot(self) -> FilterSnapshot:
-        with self._lock:
-            return self._filter.snapshot(self.provider_id)
-
-    def filter_delta(
-        self, epoch: int = 0, since_generation: int = 0
-    ) -> "FilterDelta | FilterSnapshot":
-        """Catch a reader up from (epoch, since_generation); see bloom.py."""
-        with self._lock:
-            return self._filter.delta(self.provider_id, epoch, since_generation)
-
-    def filter_may_contain(self, key: Any) -> bool:
-        with self._lock:
-            if not self.filters_enabled:
-                return True
-            return self._filter.may_contain(key)
 
     @property
     def stats(self) -> Dict[str, int]:
@@ -226,6 +153,4 @@ class KeyValueStore:
             "gets": self.gets,
             "hits": self.hits,
             "repairs": self.repairs,
-            "filter_epoch": self._filter.epoch,
-            "filter_rebuilds": self._filter.rebuilds,
         }

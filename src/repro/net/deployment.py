@@ -224,15 +224,7 @@ class ProcessDeployment:
             self._meta_stubs,
             virtual_nodes=self.config.dht_virtual_nodes,
             replication=self.config.metadata_replication,
-            filters_enabled=self.config.filters_enabled,
-            filters_target_fp=self.config.filters_target_fp,
-            filters_rebuild_threshold=self.config.filters_rebuild_threshold,
         )
-        if self.config.filters_enabled:
-            # Warm the client-side filter tree once (one small RPC per meta
-            # node) so the fallback-skip and probe_exists fast paths engage
-            # from the first lookup instead of after the first refresh.
-            self.metadata_store.refresh_filters()
         standby_rpcs: List[Optional[RpcClient]] = [
             self._rpc(addrs[("standby", index)])
             if ("standby", index) in addrs

@@ -72,19 +72,6 @@ class RemoteKeyValueStore:
     def clear(self) -> None:
         self._rpc.call("clear")
 
-    # -- bloom filter surface ----------------------------------------------------
-    def filter_state(self) -> Tuple[int, int]:
-        epoch, generation = self._rpc.call("filter_state")
-        return epoch, generation
-
-    def filter_snapshot(self) -> Any:
-        return self._rpc.call("filter_snapshot")
-
-    def filter_delta(self, epoch: int = 0, since_generation: int = 0) -> Any:
-        return self._rpc.call(
-            "filter_delta", {"epoch": epoch, "since_generation": since_generation}
-        )
-
     def __len__(self) -> int:
         return self._rpc.call("length")
 
@@ -106,25 +93,14 @@ class NetworkDistributedStore(DistributedKeyValueStore):
         stubs: Dict[str, RemoteKeyValueStore],
         virtual_nodes: int = 32,
         replication: int = 1,
-        filters_enabled: bool = True,
-        filters_target_fp: float = 0.01,
-        filters_rebuild_threshold: int = 64,
     ) -> None:
         super().__init__(
             provider_ids=list(stubs),
             virtual_nodes=virtual_nodes,
             replication=replication,
-            filters_enabled=filters_enabled,
-            filters_target_fp=filters_target_fp,
-            filters_rebuild_threshold=filters_rebuild_threshold,
         )
         for pid, stub in stubs.items():
             self._stores[pid] = stub  # type: ignore[assignment]
-        # The leaves live in other processes: the client-held filter tree
-        # is refreshed over the filter_snapshot/filter_delta RPCs, and a
-        # skip-based negative verdict is revalidated against fresh filters
-        # before it is trusted (see DistributedKeyValueStore).
-        self._filter_leaves_live = False
 
 
 class RemoteCoordinator:

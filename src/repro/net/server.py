@@ -14,10 +14,15 @@ of direct calls:
   the deployment only drives shard 0's, which makes ids unique and
   monotonic across shards (not dense — probed ids are discarded, matching
   the in-process coordinator's documented id semantics);
+* ``standby`` — a hot standby for one coordinator shard, following the
+  primary's journal and serving the shard after ``take_over``;
 * ``pmgr`` — a :class:`~repro.core.provider_manager.ProviderManager` over
   a bookkeeping pool that mirrors the provider fleet (placement state
   lives here; the bytes live in the provider processes, so the pool's
   ``chunks_stored`` stays 0 and only load-aware placement degrades).
+
+Every role also serves ``ping``, ``health`` and the observability RPCs
+(``metrics``, ``trace_spans``, ``slow_ops``).
 
 The server accepts any number of connections (listen backlog 256); on
 each one, requests are dispatched as they arrive — handlers run inline
@@ -85,43 +90,6 @@ def _rss_bytes() -> int:
 def _vitals() -> Dict[str, Any]:
     """Liveness-plus-vitals fields merged into every role's ``health``."""
     return {"uptime": time.time() - _PROCESS_START, "rss_bytes": _rss_bytes()}
-
-
-def _filter_handlers(target: Any = None) -> Handlers:
-    """The Bloom-filter surface every role serves beside ``health``.
-
-    ``target`` is any object exposing ``filter_state`` / ``filter_snapshot``
-    / ``filter_delta`` (a DHT store node, a data provider).  Roles that hold
-    no keyed data serve an empty :class:`~repro.filters.bloom.
-    MaintainedFilter` instead, so a sweeping client can call the same RPCs
-    on every address without special-casing roles.
-    """
-    if target is None:
-        from ..filters.bloom import MaintainedFilter
-
-        empty = MaintainedFilter()
-
-        class _Empty:
-            @staticmethod
-            def filter_state():
-                return empty.state()
-
-            @staticmethod
-            def filter_snapshot():
-                return empty.snapshot("none")
-
-            @staticmethod
-            def filter_delta(epoch=0, since_generation=0):
-                return empty.delta("none", epoch, since_generation)
-
-        target = _Empty()
-    return {
-        "filter_state": lambda: list(target.filter_state()),
-        "filter_snapshot": target.filter_snapshot,
-        "filter_delta": lambda epoch=0, since_generation=0: target.filter_delta(
-            epoch, since_generation
-        ),
-    }
 
 
 def _obs_handlers(on_scrape: Optional[Callable[[], None]] = None) -> Handlers:
@@ -202,10 +170,8 @@ def provider_handlers(index: int, config: BlobSeerConfig) -> Handlers:
             **_vitals(),
         },
         **_obs_handlers(),
-        **_filter_handlers(provider),
         "put_chunk": put_chunk,
         "get_chunk": get_chunk,
-        "has_chunk": provider.has_chunk,
         "delete_chunk": provider.delete_chunk,
         "chunk_keys": provider.chunk_keys,
         "report": provider.report,
@@ -217,12 +183,7 @@ def provider_handlers(index: int, config: BlobSeerConfig) -> Handlers:
 
 
 def meta_handlers(index: int, config: BlobSeerConfig) -> Handlers:
-    store = KeyValueStore(
-        provider_id=f"meta-{index:03d}",
-        filters_enabled=config.filters_enabled,
-        filters_target_fp=config.filters_target_fp,
-        filters_rebuild_threshold=config.filters_rebuild_threshold,
-    )
+    store = KeyValueStore(provider_id=f"meta-{index:03d}")
     return {
         "ping": lambda: True,
         "health": lambda: {
@@ -232,7 +193,6 @@ def meta_handlers(index: int, config: BlobSeerConfig) -> Handlers:
             **_vitals(),
         },
         **_obs_handlers(),
-        **_filter_handlers(store),
         "put": store.put,
         "get": store.get,
         "get_or_none": store.get_or_none,
@@ -464,7 +424,6 @@ def coordinator_handlers(
                 **_vitals(),
             },
             **_obs_handlers(on_scrape=_scrape_gauges),
-            **_filter_handlers(),
             "journal_stream": journal_stream,
             "membership": lambda: (
                 journal.latest_membership() if journal is not None else None
@@ -658,7 +617,6 @@ def standby_handlers(
             "alloc_blob_ids": lambda count=1: _ids()["alloc_blob_ids"](count),
             "reserve_blob_id": lambda blob_id: _ids()["reserve_blob_id"](blob_id),
             **_obs_handlers(),
-            **_filter_handlers(),
             "health": health,
             "follow": follow,
             "take_over": take_over,
@@ -689,7 +647,6 @@ def pmgr_handlers(index: int, config: BlobSeerConfig) -> Handlers:
             **_vitals(),
         },
         **_obs_handlers(),
-        **_filter_handlers(),
         "allocate": lambda blob_id, offset, size, chunk_size, replication=None: list(
             manager.allocate(blob_id, offset, size, chunk_size, replication=replication)
         ),

@@ -29,7 +29,6 @@ import base64
 from typing import Any, Callable, Dict, List, Tuple, Type
 
 from ..core import errors
-from ..filters.bloom import FilterDelta, FilterSnapshot
 from ..obs.trace import TraceContext
 from ..core.metadata.segment_tree import WriteRecord
 from ..core.metadata.tree_node import Fragment, InnerNode, LeafNode
@@ -141,16 +140,6 @@ _TYPES: Dict[str, Tuple[type, Tuple[str, ...], Callable[[List[Any]], Any]]] = {
         JournalRecord,
         ("lsn", "op", "blob_id", "payload"),
         lambda f: JournalRecord(lsn=f[0], op=f[1], blob_id=f[2], payload=f[3]),
-    ),
-    "FilterSnapshot": (
-        FilterSnapshot,
-        ("provider_id", "epoch", "generation", "bits_m", "hashes_k", "count", "bits"),
-        lambda f: FilterSnapshot(*f),
-    ),
-    "FilterDelta": (
-        FilterDelta,
-        ("provider_id", "epoch", "since_generation", "generation", "indices"),
-        lambda f: FilterDelta(f[0], f[1], f[2], f[3], tuple(f[4])),
     ),
 }
 

@@ -39,11 +39,6 @@ class ScrubTick:
     keys_scanned: int
     repairs: int
     completed_pass: Optional["ScrubReport"]
-    #: Batches that actually exchanged membership digests this tick — the
-    #: filter-epoch compare let the rest skip (they still count in
-    #: ``batches``/``keys_scanned``, having been verified unchanged).  The
-    #: simulator charges digest RPCs for these only.
-    digested_batches: int = 0
 
 
 @dataclass(frozen=True)
@@ -85,18 +80,6 @@ class AntiEntropyScrubber:
         #: Ticks skipped by the caller's backpressure policy (monitoring).
         self.skipped_ticks = 0
         self.ticks = 0
-        #: Filter-state sample taken at the start of the current pass, and
-        #: the sample recorded by the last *clean* pass.  A batch whose live
-        #: owners all report identical (alive, epoch, generation) triples in
-        #: both samples provably received no churn since it was last verified
-        #: whole, so its digest exchange is skipped.  Sampling at pass start
-        #: (not end) means churn landing mid-pass always forces a rescan.
-        self._pass_filter_states: Optional[Dict[str, Any]] = None
-        self._clean_filter_states: Optional[Dict[str, Any]] = None
-        #: Digest accounting: rounds actually exchanged vs provably skipped.
-        self.digest_rounds = 0
-        self.skipped_batches = 0
-        self.skipped_digest_rounds = 0
 
     # -- inspection ---------------------------------------------------------------
     def under_replicated(self) -> Dict[Any, List[str]]:
@@ -147,32 +130,6 @@ class AntiEntropyScrubber:
         repairs = self.store.re_replicate(todo, missing_at)
         return len(plan), repairs, unrecoverable
 
-    # -- filter-epoch skip (ROADMAP item 4) ----------------------------------------
-    def _sample_filter_states(self) -> Optional[Dict[str, Any]]:
-        """Snapshot every provider's (alive, epoch, generation) triple.
-
-        ``None`` when the store has no filter surface (or filters are off) —
-        the scrubber then behaves exactly as before, digesting every batch.
-        Accessed defensively: test harnesses wrap the store in shims.
-        """
-        states = getattr(self.store, "filter_states", None)
-        if states is None or not getattr(self.store, "filters_enabled", False):
-            return None
-        return states()
-
-    def _batch_unchanged(self, owners: Any) -> bool:
-        """True when every live owner of a batch is provably unchurned."""
-        current = self._pass_filter_states
-        clean = self._clean_filter_states
-        if current is None or clean is None or not owners:
-            return False
-        for pid in owners:
-            state = current.get(pid)
-            # A live owner sampled as dead flipped up mid-pass: rescan.
-            if state is None or not state[0] or clean.get(pid) != state:
-                return False
-        return True
-
     # -- incremental ticks ---------------------------------------------------------
     def run_tick(self, max_batches: Optional[int] = None) -> ScrubTick:
         """Advance the ring walk by up to ``max_batches`` batches.
@@ -187,9 +144,6 @@ class AntiEntropyScrubber:
         """
         self.ticks += 1
         keys = self.store.scan_keys()
-        if self._cursor is None and not self._partial:
-            # Fresh pass: sample filter states once, up front.
-            self._pass_filter_states = self._sample_filter_states()
         start = 0
         if self._cursor is not None:
             anchor = ring_position(self._cursor)
@@ -202,26 +156,12 @@ class AntiEntropyScrubber:
         batches = 0
         scanned = 0
         repairs_this_tick = 0
-        digested = 0
         index = start
         while index < len(keys):
             if max_batches is not None and batches >= max_batches:
                 break
             batch = keys[index : index + self.batch_size]
-            owners = {
-                pid for key in batch for pid in self.store.live_owners(key)
-            }
-            if self._batch_unchanged(owners):
-                # Provably in sync since the last clean pass: no digest
-                # exchange needed.  The batch still counts as scanned — it
-                # *was* verified, by filter-state compare instead of RPCs.
-                under, repairs, unrecoverable = 0, 0, 0
-                self.skipped_batches += 1
-                self.skipped_digest_rounds += len(owners)
-            else:
-                self.digest_rounds += len(owners)
-                digested += 1
-                under, repairs, unrecoverable = self._scrub_batch(batch)
+            under, repairs, unrecoverable = self._scrub_batch(batch)
             partial["under"] = partial.get("under", 0) + under
             partial["repairs"] = partial.get("repairs", 0) + repairs
             partial["unrecoverable"] = partial.get("unrecoverable", 0) + unrecoverable
@@ -240,7 +180,6 @@ class AntiEntropyScrubber:
                 keys_scanned=scanned,
                 repairs=repairs_this_tick,
                 completed_pass=None,
-                digested_batches=digested,
             )
         report = ScrubReport(
             pass_index=len(self.reports),
@@ -253,17 +192,11 @@ class AntiEntropyScrubber:
         self.reports.append(report)
         self._cursor = None
         self._partial = {}
-        if report.clean:
-            # The whole ring was just verified whole against this pass's
-            # start-of-pass sample; future batches whose owners still match
-            # it are provably unchanged.
-            self._clean_filter_states = self._pass_filter_states
         return ScrubTick(
             batches=batches,
             keys_scanned=scanned,
             repairs=repairs_this_tick,
             completed_pass=report,
-            digested_batches=digested,
         )
 
     # -- one pass -----------------------------------------------------------------

@@ -141,9 +141,6 @@ class SimulatedBlobSeer:
             provider_ids=meta_ids,
             virtual_nodes=self.config.dht_virtual_nodes,
             replication=self.config.metadata_replication,
-            filters_enabled=self.config.filters_enabled,
-            filters_target_fp=self.config.filters_target_fp,
-            filters_rebuild_threshold=self.config.filters_rebuild_threshold,
         )
 
         # -- simulated machines ----------------------------------------------------
@@ -439,14 +436,9 @@ class SimulatedBlobSeer:
         self.env.process(loop(), name="anti-entropy-scrubber")
 
     def _charge_scrub_pass(self, tick, accesses) -> Iterator:
-        """Charge one scrub tick: digests per (provider, batch) + repair rounds.
-
-        Only batches that actually exchanged digests are charged — batches
-        the scrubber skipped via the filter-epoch compare cost nothing on
-        the wire (that is the point of the skip).
-        """
+        """Charge one scrub tick: digests per (provider, batch) + repair rounds."""
         live = self.live_metadata_providers()
-        for _ in range(getattr(tick, "digested_batches", tick.batches)):
+        for _ in range(tick.batches):
             digests = [
                 self.env.process(
                     self.scrub_node.rpc(

@@ -152,6 +152,24 @@ class TestHdfsLikeFileSystem:
         assert fs.delete("/a/b/file")
         assert not fs.exists("/a/b/file")
 
+    def test_delete_skips_crashed_provider_but_not_other_errors(self, monkeypatch):
+        fs = self.make_fs()
+        fs.mkdir("/d")
+        for path in ("/d/a", "/d/b"):
+            with fs.create(path, block_size=64) as writer:
+                writer.write(b"z" * 160)
+        crashed = fs.block_locations("/d/a", 0, 160)[0][2][0]
+        fs.pool.get(crashed).crash()
+        assert fs.delete("/d/a")
+        assert not fs.exists("/d/a")
+
+        def broken(self, key):
+            raise RuntimeError("delete_chunk bug")
+
+        monkeypatch.setattr(DataProvider, "delete_chunk", broken)
+        with pytest.raises(RuntimeError, match="delete_chunk bug"):
+            fs.delete("/d/b")
+
     def test_missing_parent_rejected(self):
         fs = self.make_fs()
         with pytest.raises(HdfsError):

@@ -22,7 +22,6 @@ _CHOSEN = {
     "net_host": "0.0.0.0",
     "net_codec": "msgpack",
     "net_standby_per_shard": 0,
-    "filters_target_fp": 0.05,
 }
 
 

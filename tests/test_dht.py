@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -212,3 +214,87 @@ class TestDistributedKeyValueStore:
         store.put("a", 1)
         assert store.contains("a")
         assert not store.contains("b")
+
+    def test_probe_exists_is_an_exact_check(self):
+        store = self.make(n=3, replication=1)
+        store.put("a", 1)
+        assert store.probe_exists("a") is True
+        assert store.probe_exists("b") is False
+        store.fail_provider(store.owners("b")[0])
+        assert store.probe_exists("b") is None
+
+
+CHURN_PROVIDERS = [f"meta-{i:03d}" for i in range(6)]
+CHURN_KEYS = 64
+
+
+def _check_reads(store, keys, seen):
+    """Check ``get_many(keys)`` and ``get`` of each key against the members.
+
+    The expected answer is read straight off the member stores just before
+    the calls: a key is found, with its only value, exactly when some live
+    owner holds it; a key with no live owner is a ``ServiceError`` (the
+    service is down for it, which is not a miss).
+    """
+    expected = {}
+    for key in keys:
+        live = store.live_owners(key)
+        held = {store.store_of(pid).get_or_none(key) for pid in live} - {None}
+        assert len(held) <= 1, f"{key!r} bound to several values: {held}"
+        expected[key] = (bool(live), next(iter(held), None))
+    if all(live for live, _ in expected.values()):
+        got = store.get_many(keys)
+        assert got == {key: value for key, (_, value) in expected.items() if value is not None}
+    else:
+        with pytest.raises(ServiceError) as raised:
+            store.get_many(keys)
+        assert not isinstance(raised.value, MetadataNotFoundError)
+    for key, (live, value) in expected.items():
+        if not live:
+            seen["no_live_owner"] += 1
+            with pytest.raises(ServiceError) as raised:
+                store.get(key)
+            assert not isinstance(raised.value, MetadataNotFoundError)
+        elif value is None:
+            seen["missing"] += 1
+            with pytest.raises(MetadataNotFoundError):
+                store.get(key)
+        else:
+            seen["found"] += 1
+            assert store.get(key) == value
+
+
+def _apply_churn(rng, store):
+    """Drive 400 seeded steps of put / fail / lossy recover / get / get_many.
+
+    Every read is checked by :func:`_check_reads`; returns how often each
+    kind of answer came up.
+    """
+    seen = {"found": 0, "missing": 0, "no_live_owner": 0}
+    for _ in range(400):
+        roll = rng.random()
+        key = ("meta", rng.randrange(CHURN_KEYS))
+        if roll < 0.45:
+            if store.live_owners(key):
+                # Metadata keys are immutable: the value is a function of the key.
+                store.put(key, f"value-{key[1]}")
+        elif roll < 0.55:
+            store.fail_provider(rng.choice(CHURN_PROVIDERS))
+        elif roll < 0.65:
+            store.recover_provider(
+                rng.choice(CHURN_PROVIDERS), lose_data=rng.random() < 0.5
+            )
+        elif roll < 0.85:
+            _check_reads(store, [key], seen)
+        else:
+            batch = [("meta", rng.randrange(CHURN_KEYS)) for _ in range(8)]
+            _check_reads(store, batch, seen)
+    return seen
+
+
+class TestChurnContract:
+    @pytest.mark.parametrize("seed", [11, 29, 47])
+    def test_reads_match_member_stores_under_churn(self, seed):
+        store = DistributedKeyValueStore(CHURN_PROVIDERS, replication=3)
+        seen = _apply_churn(random.Random(seed), store)
+        assert all(seen.values()), seen
