@@ -8,19 +8,10 @@ layer: blobs are routed by consistent hash to one of N version-coordinator
 shards (``BlobSeerConfig.num_version_managers``), each owning its own lock,
 write history and publication frontier on its own simulated machine.
 
-Two views of the same effect:
-
-* **batched multi-blob commits (SimTransport)** — one client submits a
-  batch of M blobs x K writes.  The batch engine takes one bulk register
-  round per shard and one ``publish_many`` round per (blob, shard), fanned
-  out in parallel; the serialised work (``units`` x service time) queues at
-  each shard's machine.  With one shard every assignment and publication
-  serialises on one node; with 16 they spread.
-* **concurrent appender storm (simulated cluster)** — N clients append to
-  M distinct blobs.  Register/publish RPCs are charged to the owning
-  shard's node, so the 1-shard curve flattens at the coordinator's service
-  rate while the sharded curves keep scaling with the writer count —
-  exactly E5's shape, one layer down.
+N simulated clients append to M distinct blobs.  Register/publish RPCs are
+charged to the owning shard's node, so the 1-shard curve flattens at the
+coordinator's service rate while the sharded curves keep scaling with the
+writer count — exactly E5's shape, one layer down.
 
 A loaded coordinator spends ~1 ms per commit-path request (version-map
 update plus write-ahead persistence); the same value is used for every
@@ -32,85 +23,29 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import ResultTable
-from repro.core import BlobSeerConfig, BlobSeerDeployment
+from repro.core import BlobSeerConfig
 from repro.sim import NetworkModel, SimulatedBlobSeer, run_multi_blob_appenders
 
 from _helpers import KB, save_table
 
-SHARD_COUNTS = [1, 2, 4, 8, 16]
 WRITER_COUNTS = [4, 8, 16, 32, 64]
 NUM_BLOBS = 16
-WRITES_PER_BLOB = 16
-WRITE_SIZE = 4 * KB
 APPEND_SIZE = 64 * KB
 MODEL = NetworkModel(version_manager_service=1e-3)
 
 
-def _config(num_shards: int, chunk_size: int) -> BlobSeerConfig:
+def _config(num_shards: int) -> BlobSeerConfig:
     return BlobSeerConfig(
         num_data_providers=32,
         num_metadata_providers=16,
-        chunk_size=chunk_size,
+        chunk_size=APPEND_SIZE,
         num_version_managers=num_shards,
     )
 
 
-# ---------------------------------------------------------------------------
-# Part A: batched multi-blob commit throughput through SimTransport
-# ---------------------------------------------------------------------------
-
-
-def _batched_commit_throughput(num_shards: int) -> float:
-    """Commits/second of one M-blob x K-write batch at ``num_shards`` shards."""
-    with BlobSeerDeployment(_config(num_shards, WRITE_SIZE)) as deployment:
-        client = deployment.sim_client(model=MODEL)
-        blobs = []
-        for _ in range(NUM_BLOBS):
-            blob = client.create_blob()
-            blob.append(b"\x00" * (WRITE_SIZE * WRITES_PER_BLOB))
-            blobs.append(blob)
-        start = client.transport.now()
-        batch = client.batch()
-        for blob in blobs:
-            for index in range(WRITES_PER_BLOB):
-                batch.write(blob.blob_id, index * WRITE_SIZE, b"w" * WRITE_SIZE)
-        results = batch.submit()
-        elapsed = client.transport.now() - start
-        assert all(result.ok for result in results)
-        # Per-blob semantics are untouched by sharding: every blob ends at
-        # the same published frontier a single version manager would give.
-        for blob in blobs:
-            assert blob.latest_version() == 1 + WRITES_PER_BLOB
-        return (NUM_BLOBS * WRITES_PER_BLOB) / elapsed
-
-
-def run_batched_commit_sweep() -> ResultTable:
-    table = ResultTable(
-        "E11: multi-blob batched commit throughput vs coordinator shards "
-        "(SimTransport, 16 blobs x 16 writes)",
-        ["shards", "commits_per_s", "speedup"],
-    )
-    baseline = None
-    for shards in SHARD_COUNTS:
-        throughput = _batched_commit_throughput(shards)
-        if baseline is None:
-            baseline = throughput
-        table.add(
-            shards=shards,
-            commits_per_s=throughput,
-            speedup=throughput / baseline,
-        )
-    return table
-
-
-# ---------------------------------------------------------------------------
-# Part B: concurrent appender storm on the simulated cluster
-# ---------------------------------------------------------------------------
-
-
 def _storm_throughput(num_shards: int, writers: int) -> float:
     """Aggregate commits/second of ``writers`` appenders over 16 blobs."""
-    cluster = SimulatedBlobSeer(_config(num_shards, APPEND_SIZE), model=MODEL)
+    cluster = SimulatedBlobSeer(_config(num_shards), model=MODEL)
     blobs = [cluster.create_blob() for _ in range(NUM_BLOBS)]
     result = run_multi_blob_appenders(
         cluster, blobs, writers, append_size=APPEND_SIZE, appends_per_client=1
@@ -133,20 +68,6 @@ def run_commit_storm_sweep() -> ResultTable:
             gain=sharded / central if central else 0.0,
         )
     return table
-
-
-@pytest.mark.benchmark(group="e11-version-sharding")
-def test_e11_batched_commit_scales_with_shards(benchmark, results_dir):
-    table = benchmark.pedantic(run_batched_commit_sweep, rounds=1, iterations=1)
-    save_table(results_dir, "e11_version_sharding", table)
-    speedups = table.column("speedup")
-    # The acceptance bar: >= 2x aggregate multi-blob commit throughput at 16
-    # shards vs the single version manager (the measured gain is ~3x).
-    assert speedups[-1] >= 2.0
-    # Sharding never hurts: every sharded configuration at least matches the
-    # single coordinator (consistent-hash imbalance makes the middle of the
-    # sweep non-monotonic, but never worse than one shard).
-    assert all(speedup >= 1.0 for speedup in speedups)
 
 
 @pytest.mark.benchmark(group="e11-version-sharding")

@@ -276,8 +276,7 @@ def run_kill_mid_pipeline() -> ResultTable:
         ]
         for thread in threads:
             thread.start()
-        clock = clients[0].transport
-        started = clock.now()
+        started = time.perf_counter()
         barrier.wait()
         total_ops = APPENDER_THREADS * BATCHES_PER_THREAD * APPENDS_PER_BATCH
         while True:
@@ -287,7 +286,7 @@ def run_kill_mid_pipeline() -> ResultTable:
         deployment.kill_data_provider("provider-000")
         for thread in threads:
             thread.join()
-        elapsed = clock.now() - started
+        elapsed = time.perf_counter() - started
 
         failed = [r for r in outcomes if not r.ok]
         verified = 0

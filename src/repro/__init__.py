@@ -52,7 +52,6 @@ from .core import (
     OpResult,
     OpStatus,
     ReadOp,
-    SimTransport,
     Transport,
     WriteOp,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "OpResult",
     "OpStatus",
     "ReadOp",
-    "SimTransport",
     "Transport",
     "WriteOp",
     "errors",

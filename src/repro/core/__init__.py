@@ -19,7 +19,7 @@ from .ops import (
     ReadOp,
     WriteOp,
 )
-from .transport import DirectTransport, SimTransport, Transport
+from .transport import DirectTransport, Transport
 from .data_provider import DataProvider, ProviderPool
 from .provider_manager import (
     LoadAwareStrategy,
@@ -80,7 +80,6 @@ __all__ = [
     "RoundRobinStrategy",
     "ShardStatus",
     "ShardedVersionManager",
-    "SimTransport",
     "SnapshotInfo",
     "Transport",
     "Version",

@@ -267,7 +267,7 @@ class BlobSeerClient:
         readable only in later batches.
         """
         transport = self._transport
-        started = transport.now()
+        started = time.perf_counter()
         # Discard any socket time a previous batch (or out-of-band call on
         # this thread) left in the transport's thread-local accumulators.
         transport.take_net_timings()
@@ -291,13 +291,13 @@ class BlobSeerClient:
             self._phase_setup(pending)
             self._phase_transfer(pending)
             self._phase_assign_versions(pending)
-            self._phase_weave_and_publish(pending, started)
+            self._phase_weave_and_publish(pending)
 
         self.counters["batches"] += 1
         results = [self._result_of(p, started) for p in pending]
         if batch_ctx is not None:
             # Client-side spans: op durations mapped onto the batch's wall
-            # start (phase timings run on the transport clock); the batch
+            # start (phase timings run on ``perf_counter``); the batch
             # span closes over everything, so server spans nest two deep.
             for p, result in zip(pending, results):
                 tr.record(
@@ -321,7 +321,6 @@ class BlobSeerClient:
         vm = self._deployment.version_manager
         pm = self._deployment.provider_manager
         transport = self._transport
-        read_rounds: List[Tuple[_Pending, object]] = []
         # One snapshot resolution per distinct (blob, version) in the batch:
         # every ``version=None`` read of a blob is pinned to the same
         # published frontier, so vectored reads are mutually consistent
@@ -340,9 +339,7 @@ class BlobSeerClient:
                         snapshot = snapshots.get((op.blob_id, op.version))
                         if snapshot is None:
                             snapshot = transport.control(
-                                "version_manager",
-                                lambda op=op: vm.get_snapshot(op.blob_id, op.version),
-                                shard=vm.active_shard_index(op.blob_id),
+                                lambda op=op: vm.get_snapshot(op.blob_id, op.version)
                             )
                             snapshots[(op.blob_id, op.version)] = snapshot
                             snapshots[(op.blob_id, snapshot.version)] = snapshot
@@ -358,11 +355,10 @@ class BlobSeerClient:
                         if p.target.empty:
                             p.data = b""
                             continue
-                        fragments, token = transport.record_metadata(
-                            lambda: self.lookup_fragments(p.snapshot, p.target)
-                        )
+                        lookup_started = time.perf_counter()
+                        fragments = self.lookup_fragments(p.snapshot, p.target)
+                        p.metadata_seconds += time.perf_counter() - lookup_started
                         p.read_fragments = fragments
-                        read_rounds.append((p, token))
                         p.fetch_jobs = [
                             ChunkFetch(
                                 p.index,
@@ -380,18 +376,15 @@ class BlobSeerClient:
                             # version, so the ticket has to come first (documented
                             # deviation from the write path).
                             p.ticket = transport.control(
-                                "version_manager",
                                 lambda op=op: vm.register_append(
                                     op.blob_id, len(op.data), writer=self.client_id
-                                ),
-                                shard=vm.active_shard_index(op.blob_id),
+                                )
                             )
                             offset = p.ticket.offset
                         else:
                             offset = op.offset
                         # Step 1: place and push chunks before taking a version.
                         p.write_id, p.plan = transport.control(
-                            "provider_manager",
                             lambda op=op, offset=offset: pm.allocate(
                                 op.blob_id,
                                 offset,
@@ -417,13 +410,6 @@ class BlobSeerClient:
                 # time the proxies accumulated since the last drain is this
                 # operation's control-plane traffic.
                 p.add_net(transport.take_net_timings())
-        # Charge the metadata lookups of all reads concurrently (levels
-        # within one lookup stay sequential: parents before children).
-        durations = transport.replay_metadata(
-            [token for _, token in read_rounds], leveled=True
-        )
-        for (p, _), elapsed in zip(read_rounds, durations):
-            p.metadata_seconds += elapsed
 
     # -- phase 2: data plane ---------------------------------------------------------------
     def _phase_transfer(self, pending: List[_Pending]) -> None:
@@ -464,8 +450,7 @@ class BlobSeerClient:
         # plans never conflict, and in networked mode the RPCs pipeline
         # over the shared provider-manager connection instead of paying one
         # sequential round trip per op.  The drain-around keeps each op's
-        # socket time attributed to it (zeros on Direct/Sim, whose
-        # charging model for ``complete`` is unchanged).
+        # socket time attributed to it (zeros on Direct).
         completes = [p for p in pending if p.plan is not None]
         pm = self._deployment.provider_manager
         # parallel_map workers don't inherit this thread's contextvars:
@@ -514,7 +499,7 @@ class BlobSeerClient:
                     )
                 )
             p.data = reassemble(p.target, pieces)
-            p.finished = self._transport.now()
+            p.finished = time.perf_counter()
             self.counters["reads"] += 1
             self.counters["bytes_read"] += p.target.size
 
@@ -590,13 +575,7 @@ class BlobSeerClient:
 
             calls.append(
                 ControlCall(
-                    "version_manager",
                     fn=register,
-                    # Grouped by *home* shard (the serialisation domain),
-                    # charged at the shard currently serving it (the ring
-                    # successor while the home shard is failed over).
-                    shard=vm.active_shard_index(batches[0][0]),
-                    units=sum(len(blob_specs) for _, blob_specs in specs),
                     # The round is shared by several ops: trace it under the
                     # batch span (transport workers re-activate it).
                     trace=obs_trace.current_context(),
@@ -625,11 +604,11 @@ class BlobSeerClient:
                         p.ticket = outcome
 
     # -- phases 4-5: weave metadata, publish ---------------------------------------------------
-    def _phase_weave_and_publish(self, pending: List[_Pending], started: float) -> None:
+    def _phase_weave_and_publish(self, pending: List[_Pending]) -> None:
         vm = self._deployment.version_manager
         transport = self._transport
-        weave_rounds: List[Tuple[_Pending, object]] = []
-        repair_rounds: List[Tuple[_Pending, object]] = []
+        woven: List[_Pending] = []
+        repaired: List[_Pending] = []
         # Trees must be *built* in version order per blob: a later version's
         # partial-chunk merge reads leaves of the version below it, which —
         # inside one batch — may belong to a sibling op whose version number
@@ -674,11 +653,10 @@ class BlobSeerClient:
         dirty_blobs: set = set()
 
         def queue_repair(p: _Pending) -> None:
-            blob_id, version = p.op.blob_id, p.ticket.version
-            _, token = transport.record_metadata(
-                lambda: self._build_repair(blob_id, version)
-            )
-            repair_rounds.append((p, token))
+            repair_started = time.perf_counter()
+            self._build_repair(p.op.blob_id, p.ticket.version)
+            p.metadata_seconds += time.perf_counter() - repair_started
+            repaired.append(p)
 
         for p in ordered:
             if p.needs_repair:
@@ -704,17 +682,15 @@ class BlobSeerClient:
                 p.add_net(transport.take_net_timings())
                 continue
             builder = SegmentTreeBuilder(self._metadata, info.chunk_size)
-            fragments = p.fragments
+            build_started = time.perf_counter()
             try:
-                _, token = transport.record_metadata(
-                    lambda: builder.build(
-                        blob_id=info.blob_id,
-                        version=ticket.version,
-                        write_interval=Interval.of(ticket.offset, ticket.size),
-                        new_fragments=fragments,
-                        history=history,
-                        new_size=ticket.new_blob_size,
-                    )
+                builder.build(
+                    blob_id=info.blob_id,
+                    version=ticket.version,
+                    write_interval=Interval.of(ticket.offset, ticket.size),
+                    new_fragments=p.fragments,
+                    history=history,
+                    new_size=ticket.new_blob_size,
                 )
             except Exception as exc:
                 # The assigned version has no readable metadata; abort it and
@@ -731,18 +707,12 @@ class BlobSeerClient:
                 queue_repair(p)
                 p.add_net(transport.take_net_timings())
                 continue
+            p.metadata_seconds += time.perf_counter() - build_started
             self.counters["metadata_nodes_written"] += builder.nodes_written
             self.counters["metadata_put_rounds"] += builder.put_rounds
-            weave_rounds.append((p, token))
+            woven.append(p)
             p.add_net(transport.take_net_timings())
-        # Charge every operation's DHT traffic concurrently (weaves of
-        # independent snapshots and repairs never conflict: tree nodes are
-        # immutable and versioned).
-        rounds = weave_rounds + repair_rounds
-        durations = transport.replay_metadata([token for _, token in rounds])
-        for (p, _), elapsed in zip(rounds, durations):
-            p.metadata_seconds += elapsed
-        for p, _ in repair_rounds:
+        for p in repaired:
             try:
                 vm.mark_repaired(p.op.blob_id, p.ticket.version)
             except (ServiceError, ConnectionError):
@@ -756,7 +726,7 @@ class BlobSeerClient:
         # ``publish_many`` carrying every version in assignment order, and
         # the rounds of different blobs fan out across their shards.
         publish_groups: Dict[BlobId, List[_Pending]] = {}
-        for p, _ in weave_rounds:
+        for p in woven:
             publish_groups.setdefault(p.op.blob_id, []).append(p)
         calls: List[ControlCall] = []
         for blob_id, group in publish_groups.items():
@@ -772,15 +742,7 @@ class BlobSeerClient:
                 except ServiceError as exc:
                     return exc
 
-            calls.append(
-                ControlCall(
-                    "version_manager",
-                    fn=publish,
-                    shard=vm.active_shard_index(blob_id),
-                    units=len(versions),
-                    trace=obs_trace.current_context(),
-                )
-            )
+            calls.append(ControlCall(fn=publish, trace=obs_trace.current_context()))
         for group, (outcome, completed_at, net) in zip(
             publish_groups.values(), transport.control_many_timed(calls)
         ):
@@ -803,10 +765,10 @@ class BlobSeerClient:
     # -- batch bookkeeping ------------------------------------------------------------------
     def _fail(self, p: _Pending, error: BaseException) -> None:
         p.error = error
-        p.finished = self._transport.now()
+        p.finished = time.perf_counter()
 
     def _result_of(self, p: _Pending, started: float) -> OpResult:
-        finished = p.finished if p.finished is not None else self._transport.now()
+        finished = p.finished if p.finished is not None else time.perf_counter()
         timing = OpTiming(
             started=started,
             finished=finished,

@@ -56,6 +56,11 @@ class BlobSeerDeployment:
             num_shards=self.config.num_version_managers,
             virtual_nodes=self.config.dht_virtual_nodes,
         )
+        if self.config.journal_enabled:
+            self.version_manager.enable_durability(
+                snapshot_interval=self.config.journal_snapshot_interval,
+                failover=self.config.shard_failover,
+            )
         self.provider_manager = ProviderManager(
             pool=self.provider_pool, config=self.config, seed=seed
         )
@@ -94,23 +99,6 @@ class BlobSeerDeployment:
             client_id = f"client-{self._next_client_id:03d}"
             self._next_client_id += 1
         return BlobSeerClient(deployment=self, client_id=client_id, transport=transport)
-
-    def sim_client(self, client_id: Optional[str] = None, model=None):
-        """Create a client whose transport runs on simulated network time.
-
-        The returned client moves payloads for real (reads are byte-exact)
-        but charges every transfer and RPC against the
-        :class:`~repro.sim.network.NetworkModel`, so
-        ``client.transport.now()`` measures honestly how long batched vs
-        sequential operations would take on a contended network.
-        """
-        from .transport import SimTransport  # local import avoids a cycle
-
-        if client_id is None:
-            client_id = f"client-{self._next_client_id:03d}"
-            self._next_client_id += 1
-        transport = SimTransport.for_deployment(self, model=model, client_id=client_id)
-        return self.client(client_id=client_id, transport=transport)
 
     # -- convenience shortcuts ---------------------------------------------------------
     def create_blob(

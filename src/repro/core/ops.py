@@ -14,9 +14,7 @@ process, so the batch API reifies operations as values:
 * :class:`OpFuture` — the handle a :class:`~repro.core.client.Batch` returns
   at enqueue time, resolved when the batch is submitted;
 * :class:`OpTiming` — per-operation phase timings (data-plane transfer,
-  metadata traffic, per-fragment fetch times) on the transport's clock,
-  which is simulated time under ``SimTransport`` and wall time under
-  ``DirectTransport``.
+  metadata traffic, per-fragment fetch times) in wall-clock seconds.
 """
 
 from __future__ import annotations
@@ -104,20 +102,20 @@ class OpStatus(Enum):
 
 @dataclass(frozen=True, slots=True)
 class OpTiming:
-    """Phase timings of one operation, on the transport's clock.
+    """Phase timings of one operation, in ``time.perf_counter`` seconds.
 
-    Under ``SimTransport`` these are simulated seconds (NIC serialisation,
-    latency, service times); under ``DirectTransport`` they are wall-clock
-    seconds of the in-process calls.  ``fragment_fetch_seconds`` has one
-    entry per fragment a read fetched from the data providers, in blob
-    order — the per-fragment detail the sequential read loop used to hide.
+    ``metadata_seconds`` is the client's own tree lookup (reads) or weave
+    (writes, appends and repairs), timed where it runs.
+    ``fragment_fetch_seconds`` has one entry per fragment a read fetched
+    from the data providers, in blob order — the per-fragment detail the
+    sequential read loop used to hide.
     """
 
     started: float = 0.0
     finished: float = 0.0
     #: Data-plane time: chunk pushes (writes/appends) or fetches (reads).
     transfer_seconds: float = 0.0
-    #: Metadata traffic: tree lookup (reads) or weave + publish (writes).
+    #: Metadata traffic: tree lookup (reads) or weave (writes/appends).
     metadata_seconds: float = 0.0
     #: Per-fragment fetch durations for reads (empty for writes/appends).
     fragment_fetch_seconds: Tuple[float, ...] = ()

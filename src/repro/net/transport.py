@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import ChunkNotFoundError, ProviderUnavailableError
 from ..core.transport import (
@@ -35,12 +35,8 @@ from ..core.transport import (
     FetchOutcome,
     PushOutcome,
     Transport,
-    parallel_map,
 )
-from ..obs import trace as obs_trace
 from .rpc import NetworkError, RpcFuture, drain_timings, timing_scope
-
-T = TypeVar("T")
 
 #: Failures that mean "this replica/hop is unavailable", not "the store
 #: rejected the operation": walk to the next provider.
@@ -57,32 +53,18 @@ class NetworkTransport(Transport):
         provider_rpcs: Dict[str, Any],
         max_workers: int = 8,
     ) -> None:
+        super().__init__(max_workers)
         #: provider id -> RpcClient for that data-provider process.
         self._providers = provider_rpcs
-        self._max_workers = max(1, max_workers)
 
     @classmethod
     def for_deployment(cls, deployment, **kwargs: Any) -> "NetworkTransport":
         return cls(deployment.provider_rpcs, **kwargs)
 
-    # -- clock / control ---------------------------------------------------------
-    def now(self) -> float:
-        return time.perf_counter()
-
-    def control(
-        self, service: str, fn: Callable[[], T], shard: int = 0, units: int = 1
-    ) -> T:
-        return fn()
-
-    def control_many(self, calls: Sequence[ControlCall]) -> List[Tuple[Any, float]]:
-        return [
-            (value, completed_at)
-            for value, completed_at, _net in self.control_many_timed(calls)
-        ]
-
-    def control_many_timed(
-        self, calls: Sequence[ControlCall]
-    ) -> List[Tuple[Any, float, Tuple[float, float, float]]]:
+    # -- control -------------------------------------------------------------------
+    def _control_round(
+        self, call: ControlCall
+    ) -> Tuple[Any, float, Tuple[float, float, float]]:
         # Each round collects the timing keys of exactly the requests its
         # closure submits (a ``timing_scope``), then drains those keys —
         # wherever their futures were resolved.  A concurrent batch sharing
@@ -90,20 +72,10 @@ class NetworkTransport(Transport):
         # (drain-order attribution drift).  The threads only *wait*: the
         # RPCs inside each closure pipeline over the reactor's shared
         # per-server connections.
-        def one_round(call: ControlCall):
-            drain_timings()  # clear stale residue left on this pool worker
-            with timing_scope() as scope:
-                if call.trace is not None:
-                    with obs_trace.activate(call.trace):
-                        value = call.fn()
-                else:
-                    value = call.fn()
-            return value, self.now(), scope.drain()
-
-        return parallel_map(
-            [(lambda call=call: one_round(call)) for call in calls],
-            max_workers=self._max_workers,
-        )
+        drain_timings()  # clear stale residue left on this pool worker
+        with timing_scope() as scope:
+            value = call.run()
+        return value, time.perf_counter(), scope.drain()
 
     def take_net_timings(self) -> Tuple[float, float, float]:
         return drain_timings()
@@ -117,7 +89,7 @@ class NetworkTransport(Transport):
         # keys so the final discard cannot wipe charges that belong to a
         # concurrent batch sharing this thread — and the same seconds are
         # not *also* handed to the engine's next take_net_timings() drain.
-        start = self.now()
+        start = time.perf_counter()
         with timing_scope() as scope:
             # Submit phase: every push replica and every fetch's first hop
             # goes onto the wire (window permitting) before anything blocks.
@@ -195,7 +167,7 @@ class NetworkTransport(Transport):
         outcome.providers_stored = tuple(stored)
         # Pipelined jobs overlap, so per-job elapsed is measured from the
         # shared submit point — an upper bound per job, honest in total.
-        outcome.elapsed = self.now() - start
+        outcome.elapsed = time.perf_counter() - start
         outcome.connect_seconds, outcome.send_seconds, outcome.wait_seconds = net
         return outcome
 
@@ -225,17 +197,6 @@ class NetworkTransport(Transport):
             break
         else:
             outcome.error = last_error
-        outcome.elapsed = self.now() - start
+        outcome.elapsed = time.perf_counter() - start
         outcome.connect_seconds, outcome.send_seconds, outcome.wait_seconds = net
         return outcome
-
-    # -- metadata ------------------------------------------------------------------
-    def record_metadata(self, fn: Callable[[], T]) -> Tuple[T, float]:
-        start = self.now()
-        value = fn()
-        return value, self.now() - start
-
-    def replay_metadata(self, tokens: Sequence[Any], leveled: bool = False) -> List[float]:
-        # As in Direct mode the work already happened in real time inside
-        # record_metadata; the token is the measured duration.
-        return [float(token) for token in tokens]

@@ -29,7 +29,7 @@ from ..dht.distributed_store import DistributedKeyValueStore
 from ..resilience.scrub import AntiEntropyScrubber
 from .engine import Environment, all_of
 from .metrics import MetricsCollector
-from .network import NetworkModel, SimNode, ensure_version_manager_node
+from .network import NetworkModel, SimNode, charge_metadata_accesses
 
 
 @dataclass
@@ -331,10 +331,17 @@ class SimulatedBlobSeer:
         migration until it has caught up.
         """
         report = self.version_manager.add_shard(shard_id)
-        node = ensure_version_manager_node(
-            self.env, self.model, self.version_manager_nodes, int(report["index"])
-        )
-        self._charge_migration(node, report)
+        nodes = self.version_manager_nodes
+        while len(nodes) <= int(report["index"]):
+            nodes.append(
+                SimNode(
+                    self.env,
+                    f"version-manager-{len(nodes):03d}",
+                    self.model,
+                    role="version_manager",
+                )
+            )
+        self._charge_migration(nodes[int(report["index"])], report)
         self.failure_log.append((self.env.now, "scale_out", str(report["shard_id"])))
         return report
 
@@ -453,24 +460,8 @@ class SimulatedBlobSeer:
             ]
             if digests:
                 yield all_of(self.env, digests)
-        from ..core.transport import charge_metadata_accesses
-
-        def rpc_to(pid: str, request_bytes: int, response_bytes: int, service: float):
-            return self.scrub_node.rpc(
-                self.meta_nodes[pid],
-                request_bytes=request_bytes,
-                response_bytes=response_bytes,
-                service=service,
-            )
-
         yield from charge_metadata_accesses(
-            self.env,
-            all_of,
-            self.model,
-            rpc_to,
-            accesses,
-            leveled=False,
-            name="scrub.meta",
+            self.scrub_node, self.meta_nodes, accesses, leveled=False, name="scrub.meta"
         )
 
     # -- metadata access recording -----------------------------------------------------------

@@ -19,9 +19,9 @@ Defaults approximate one Grid'5000 cluster of the era: 1 Gb/s Ethernet
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional
+from typing import Any, Dict, Generator, Optional, Sequence, Tuple
 
-from .engine import Environment
+from .engine import Environment, all_of
 from .resources import ServiceStation
 
 
@@ -68,29 +68,6 @@ class NetworkModel:
     def transfer_time(self, nbytes: int) -> float:
         """Pure serialisation time of ``nbytes`` on one NIC."""
         return nbytes / self.bandwidth
-
-
-def ensure_version_manager_node(
-    env: Environment, model: "NetworkModel", nodes: list, index: int
-) -> "SimNode":
-    """Materialise coordinator-shard machines up to ``index`` and return it.
-
-    The coordinator tier is elastic (shards join at runtime); both the
-    standalone :class:`~repro.core.transport.SimTransport` and the full
-    simulated cluster grow their ``version-manager-NNN`` node lists through
-    this one helper so a runtime-added shard gets the same machine either
-    way.
-    """
-    while len(nodes) <= index:
-        nodes.append(
-            SimNode(
-                env,
-                f"version-manager-{len(nodes):03d}",
-                model,
-                role="version_manager",
-            )
-        )
-    return nodes[index]
 
 
 class SimNode:
@@ -164,3 +141,70 @@ class SimNode:
             "downlink_bytes": self.downlink.bytes_served,
             "cpu_jobs": self.cpu.jobs_served,
         }
+
+
+def _access_level(op: str, payload: Any) -> int:
+    """Tree level of one recorded access (node size; bulk keys share a level)."""
+    if op in ("get", "put"):
+        return getattr(payload, "size", 0)
+    return max((getattr(key, "size", 0) for key in payload), default=0)
+
+
+def _access_count(op: str, payload: Any) -> int:
+    """Number of logical node operations one recorded access carries."""
+    if op in ("get", "put"):
+        return 1
+    return max(1, len(payload))
+
+
+def charge_metadata_accesses(
+    client: SimNode,
+    meta_nodes: Dict[str, SimNode],
+    accesses: Sequence[Tuple[str, str, Any]],
+    leveled: bool,
+    name: str = "sim.meta",
+) -> Generator:
+    """Charge recorded metadata DHT accesses on simulated time.
+
+    ``accesses`` are ``(provider_id, op, payload)`` entries exactly as the
+    DHT's ``access_hook`` fired them.  An access (one
+    ``get_many``/``put_many`` request per provider) costs a single round
+    trip from ``client`` carrying ``n`` nodes' payload and ``n`` service
+    times at that provider's CPU, with the providers of one round running
+    in parallel — a level costs the max over its providers.  A scalar
+    access is a one-node round.  ``leveled=True`` additionally orders
+    rounds root-level first, parents before children, as a tree lookup
+    must.
+    """
+    env, model = client.env, client.model
+
+    def one_access(pid: str, op: str, payload: Any):
+        count = _access_count(op, payload)
+        service = model.metadata_service * count
+        if op in ("put", "put_many"):
+            request_bytes, response_bytes = model.metadata_node_bytes * count, 64
+        else:
+            request_bytes, response_bytes = 64 * count, model.metadata_node_bytes * count
+        yield from client.rpc(
+            meta_nodes[pid],
+            request_bytes=request_bytes,
+            response_bytes=response_bytes,
+            service=service,
+        )
+
+    def charge_group(entries):
+        children = [
+            env.process(one_access(pid, op, payload), name=name)
+            for pid, op, payload in entries
+        ]
+        if children:
+            yield all_of(env, children)
+
+    if leveled:
+        levels: dict = {}
+        for pid, op, payload in accesses:
+            levels.setdefault(_access_level(op, payload), []).append((pid, op, payload))
+        for size in sorted(levels, reverse=True):
+            yield from charge_group(levels[size])
+    else:
+        yield from charge_group(list(accesses))

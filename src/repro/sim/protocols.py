@@ -25,10 +25,10 @@ from ..core.interval import Interval, iter_chunks
 from ..core.metadata.cache import MetadataCache, PassthroughMetadataStore
 from ..core.metadata.segment_tree import SegmentTreeBuilder, SegmentTreeReader
 from ..core.metadata.tree_node import Fragment
-from ..core.transport import charge_metadata_accesses
 from ..core.types import BlobInfo, ChunkKey, Version
 from .engine import all_of
 from .metrics import OperationRecord
+from .network import charge_metadata_accesses
 from .resources import Resource
 
 
@@ -287,7 +287,7 @@ class SimClient:
             yield from self._repair(blob, ticket.version)
             return False
         cluster.metadata_rounds += len(accesses)
-        yield from self._replay_metadata_accesses(accesses, parallel=True)
+        yield from self._charge_metadata_accesses(accesses, parallel=True)
         # Step 5: notify the serving version-coordinator shard (publication).
         yield from self._coordinator_rpc(blob)
         try:
@@ -324,7 +324,7 @@ class SimClient:
                 new_size=record.new_size,
             )
         cluster.metadata_rounds += len(accesses)
-        yield from self._replay_metadata_accesses(accesses, parallel=True)
+        yield from self._charge_metadata_accesses(accesses, parallel=True)
         try:
             cluster.version_manager.mark_repaired(blob.blob_id, version)
         except ServiceError:
@@ -362,7 +362,7 @@ class SimClient:
         with cluster.record_metadata_accesses() as accesses:
             fragments = reader.lookup(snapshot.root, target)
         cluster.metadata_rounds += len(accesses)
-        yield from self._replay_metadata_accesses(accesses, parallel=False)
+        yield from self._charge_metadata_accesses(accesses, parallel=False)
         # Step 3: fetch the chunks from the data providers, fully in parallel.
         fetchers = [
             self.env.process(
@@ -395,35 +395,22 @@ class SimClient:
             return True
         return False
 
-    # ------------------------------------------------------------------ metadata replay
-    def _replay_metadata_accesses(
+    # ------------------------------------------------------------------ metadata charging
+    def _charge_metadata_accesses(
         self, accesses: Sequence[Tuple[str, str, object]], parallel: bool
     ) -> Generator:
         """Charge simulated time for every recorded metadata DHT access.
 
-        Shares :func:`~repro.core.transport.charge_metadata_accesses` with
-        the batched client's SimTransport — one cost model, two wirings.
+        The cost model is :func:`~repro.sim.network.charge_metadata_accesses`.
         Readers (``parallel=False``) walk levels root first because a
         parent must be read before its children are known; writers' weaves
         (``parallel=True``) overlap all their rounds.
         """
         if not accesses:
             return
-        cluster = self.cluster
-
-        def rpc_to(pid: str, request_bytes: int, response_bytes: int, service: float):
-            return self.node.rpc(
-                cluster.meta_nodes[pid],
-                request_bytes=request_bytes,
-                response_bytes=response_bytes,
-                service=service,
-            )
-
         yield from charge_metadata_accesses(
-            self.env,
-            all_of,
-            self.model,
-            rpc_to,
+            self.node,
+            self.cluster.meta_nodes,
             accesses,
             leveled=not parallel,
             name=f"{self.client_id}.meta",

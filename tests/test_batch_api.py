@@ -3,8 +3,8 @@
 Covers the batched client surface introduced by the API redesign:
 ``client.batch()`` / ``BlobSession``, the vectored ``Blob.read_many`` /
 ``write_many`` / ``append_many`` conveniences, per-operation results
-(version, ``write_id``, timing), snapshot isolation under concurrent
-batched writers, and the ``SimTransport`` pipelining advantage.
+(version, ``write_id``, timing) and snapshot isolation under concurrent
+batched writers.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.core import (
     BlobSeerDeployment,
     OpStatus,
     ReadOp,
-    SimTransport,
 )
 from repro.core.errors import InvalidRangeError, ReplicationError
 
@@ -253,6 +252,15 @@ class TestTimingAndCounters:
         assert len(result.timing.fragment_fetch_seconds) == 4
         assert result.timing.finished >= result.timing.started
 
+    def test_phases_are_timed_within_the_op(self, client):
+        blob = client.create_blob()
+        write = client.submit_ops([AppendOp(blob.blob_id, b"x" * (CHUNK * 4))])[0]
+        read = client.submit_ops([ReadOp(blob.blob_id, 0, CHUNK * 4)])[0]
+        for result in (write, read):
+            timing = result.timing
+            assert 0 < timing.metadata_seconds <= timing.duration
+            assert 0 < timing.transfer_seconds <= timing.duration
+
     def test_chunk_locations_counts_metadata_fetches(self, client):
         blob = client.create_blob()
         blob.append(b"x" * (CHUNK * 4))
@@ -315,49 +323,6 @@ class TestSnapshotIsolation:
         assert errors == []
         # All 18 batched ops (3 writers x 3 rounds x 2 ops) published.
         assert deployment.version_manager.latest_version(blob_id) == 1 + 18
-
-
-class TestSimTransport:
-    def test_sim_batch_is_faster_than_sequential_and_byte_exact(self):
-        def build():
-            dep = BlobSeerDeployment(
-                BlobSeerConfig(num_data_providers=8, num_metadata_providers=4, chunk_size=CHUNK)
-            )
-            client = dep.sim_client()
-            blob = client.create_blob()
-            blob.append(b"\x00" * (CHUNK * 8))
-            return dep, client, blob
-
-        dep, client, blob = build()
-        start = client.transport.now()
-        for index in range(8):
-            blob.write(index * CHUNK, bytes([97 + index]) * CHUNK)
-        sequential = client.transport.now() - start
-        expected = bytes().join(bytes([97 + i]) * CHUNK for i in range(8))
-        assert blob.read(0, CHUNK * 8) == expected
-        dep.close()
-
-        dep, client, blob = build()
-        start = client.transport.now()
-        with client.batch() as batch:
-            for index in range(8):
-                batch.write(blob.blob_id, index * CHUNK, bytes([97 + index]) * CHUNK)
-        batched = client.transport.now() - start
-        assert blob.read(0, CHUNK * 8) == expected
-        assert batched < sequential
-        dep.close()
-
-    def test_sim_transport_charges_simulated_time(self, deployment):
-        client = deployment.client(
-            transport=SimTransport.for_deployment(deployment, client_id="simmy")
-        )
-        blob = client.create_blob()
-        assert client.transport.now() == 0.0
-        blob.append(b"x" * CHUNK)
-        after_write = client.transport.now()
-        assert after_write > 0.0
-        blob.read(0, CHUNK)
-        assert client.transport.now() > after_write
 
 
 class TestShardedCoordinatorBatches:

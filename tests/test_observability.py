@@ -196,6 +196,34 @@ class TestTraceContext:
         tr.record("slow", obs_trace.TraceContext.root(), 10.0, 10.5)
         assert [entry["name"] for entry in tr.slow_ops()] == ["slow"]
 
+    def test_direct_multi_shard_batch_traces_every_journal_append(self):
+        """The commit rounds of a batch fan out over pool workers; each
+        must re-activate the batch's trace context, or the journal appends
+        it makes go untraced."""
+        deployment = make_deployment(
+            BlobSeerConfig(num_version_managers=4, chunk_size=CHUNK)
+        )
+        vm = deployment.version_manager
+        journals = vm.enable_durability(failover=False)
+        client = deployment.client()
+        blobs = [client.create_blob() for _ in range(8)]
+        assert len({vm.shard_index(blob.blob_id) for blob in blobs}) > 1
+        tr = obs_trace.reset_tracer(enabled=True)
+        try:
+            appended = sum(journal.appends for journal in journals)
+            with client.batch() as batch:
+                futures = [batch.write(blob.blob_id, 0, b"j" * CHUNK) for blob in blobs]
+            results = [future.result() for future in futures]
+            appended = sum(journal.appends for journal in journals) - appended
+            spans = [span for span in tr.drain() if span.name == "journal:append"]
+        finally:
+            obs_trace.reset_tracer()
+            deployment.close()
+        assert all(result.ok for result in results)
+        assert appended == 2 * len(blobs)  # one register + one publish per blob
+        assert len(spans) == appended
+        assert {span.trace_id for span in spans} == {results[0].trace_id}
+
 
 # ---------------------------------------------------------------------------
 # Config knobs

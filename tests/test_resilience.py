@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import BlobSeerConfig
+from repro.core import BlobSeerConfig, BlobSeerDeployment
 from repro.core.errors import ServiceError
 from repro.core.version_coordinator import ShardedVersionManager
 from repro.core.version_manager import VersionManager, WriteState
@@ -214,6 +214,28 @@ class TestCoordinatorDurability:
         # The pending version can still be published after the restart.
         restarted.publish(blobs[0].blob_id, pending.version)
         assert restarted.latest_version(blobs[0].blob_id) == pending.version
+
+    def test_deployment_config_enables_the_journal(self):
+        deployment = BlobSeerDeployment(
+            BlobSeerConfig(num_version_managers=2, chunk_size=16, journal_enabled=True)
+        )
+        vm = deployment.version_manager
+        assert vm.journals is not None
+        assert all(shard.journal is not None for shard in vm.shards)
+        client = deployment.client()
+        blobs = [client.create_blob() for _ in range(6)]
+        for blob in blobs:
+            blob.append(b"a" * 32)
+            blob.write(8, b"b" * 8)
+        frontier = {blob.blob_id: vm.latest_version(blob.blob_id) for blob in blobs}
+        index = vm.shard_index(blobs[0].blob_id)
+        crashed = vm.shards[index]
+        vm.crash_shard(index)
+        vm.recover_shard(index)
+        # Rebuilt from its journal, not resumed from the old in-memory state.
+        assert vm.shards[index] is not crashed
+        assert {b.blob_id: vm.latest_version(b.blob_id) for b in blobs} == frontier
+        assert blobs[0].read(0, 32) == b"a" * 8 + b"b" * 8 + b"a" * 16
 
     def test_crash_without_failover_is_unavailable(self):
         vm = ShardedVersionManager(num_shards=2)
