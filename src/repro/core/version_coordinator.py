@@ -520,7 +520,6 @@ class ShardedVersionManager:
         Returns a report: new shard index/id, committed epoch, blobs moved
         and journal records streamed.
         """
-        from ..resilience.failover import ShardStandby
         from ..resilience.journal import ShardJournal
 
         with self._id_lock:
@@ -552,7 +551,7 @@ class ShardedVersionManager:
                     # Subscribed before the stream starts, so the standby
                     # replica receives the migrated histories like any other
                     # transition.
-                    self.standbys.append(ShardStandby(shard_id, journal))
+                    self.standbys.append(self._standby_following(journal))
                 # The freeze happens inside _stream_moves, before the first
                 # export of each batch: a racing commit either precedes its
                 # blob's export (and is in the copy) or retries by epoch.
@@ -570,7 +569,7 @@ class ShardedVersionManager:
                     del self.journals[index:]
                 if self.standbys is not None:
                     for standby in self.standbys[index:]:
-                        standby.detach()
+                        standby.unfollow()
                     del self.standbys[index:]
                 raise
             epoch = self.membership.commit_transition(f"shard {shard_id} joined")
@@ -628,7 +627,9 @@ class ShardedVersionManager:
             if self.standbys is not None:
                 standby = self.standbys[index]
                 if standby is not None:
-                    standby.retire()
+                    # A retired shard never rejoins: nothing to hand back.
+                    standby.unfollow()
+                    standby.handoff.discard_files()
                     self.standbys[index] = None
             if self.journals is not None:
                 self.journals[index].close()
@@ -724,7 +725,7 @@ class ShardedVersionManager:
         ``snapshot_max_age`` / ``keep_snapshots`` are the snapshot-GC
         policies forwarded to created journals.  Returns the journals.
         """
-        from ..resilience.failover import ShardStandby
+        from ..resilience.failover import fold_handoff
         from ..resilience.journal import ShardJournal
 
         if journals is None:
@@ -757,7 +758,7 @@ class ShardedVersionManager:
                         f"instead"
                     )
                 shard = self._rebuild_shard_from_journal(index, journal)
-                self._ingest_disk_handoff(index, journal, shard)
+                fold_handoff(journal, shard)
             else:
                 # Seed the journal with the shard's current state so replay
                 # is self-contained even when blobs predate durability.
@@ -766,10 +767,7 @@ class ShardedVersionManager:
         self.journals = journals
         self.standbys = None
         if failover and len(self.shards) > 1:
-            self.standbys = [
-                ShardStandby(shard_id, journal)
-                for shard_id, journal in zip(self.shard_ids, journals)
-            ]
+            self.standbys = [self._standby_following(journal) for journal in journals]
         # Seed every journal with the current ring so even a deployment
         # that never changes membership can restart without statuses=.
         self._log_membership()
@@ -790,22 +788,14 @@ class ShardedVersionManager:
                 self._next_blob_id = max(self._next_blob_id, blob_id + 1)
         return manager
 
-    def _ingest_disk_handoff(self, index: int, journal, manager) -> int:
-        """Fold a durable on-disk handoff (takeover survived by its WAL
-        alone — the hosting machine died too) into the shard's journal."""
-        directory = getattr(journal, "directory", None)
-        if directory is None:
-            return 0
-        from ..resilience.journal import ShardJournal
+    @staticmethod
+    def _standby_following(journal):
+        """A hot standby replica following ``journal`` (one local stream)."""
+        from ..resilience.failover import StreamedStandby
 
-        handoff = ShardJournal.open(
-            directory, shard_id=f"{self.shard_ids[index]}-handoff"
-        )
-        records = handoff.records()
-        if records:
-            journal.ingest(records, apply_to=manager)
-        handoff.discard_files()
-        return len(records)
+        standby = StreamedStandby(journal.shard_id)
+        standby.follow(journal)
+        return standby
 
     def crash_shard(self, index: int) -> None:
         """Crash shard ``index``: its in-memory state is gone.
@@ -823,12 +813,12 @@ class ShardedVersionManager:
         if self.standbys is not None:
             standby = self.standbys[index]
             if standby is not None:
-                standby.begin_takeover()
+                standby.take_over(self.journals[index].directory)
                 self.failovers += 1
             predecessor = self.membership.predecessor_index(index)
             hosted = self.standbys[predecessor]
             if predecessor != index and hosted is not None:
-                hosted.detach()
+                hosted.unfollow()
                 self.standbys[predecessor] = None
 
     def recover_shard(self, index: int) -> int:
@@ -843,7 +833,7 @@ class ShardedVersionManager:
         in-memory state is resumed unchanged (a pause, not a crash — the
         pre-durability behaviour).
         """
-        from ..resilience.failover import ShardStandby
+        from ..resilience.failover import fold_handoff
 
         if self.membership.status_of(index) is not ShardStatus.DOWN:
             return 0
@@ -854,12 +844,17 @@ class ShardedVersionManager:
             if self.standbys is not None:
                 standby = self.standbys[index]
                 if standby is not None:
-                    handoff = standby.end_takeover()
+                    # The rejoin a process deployment runs: the standby
+                    # resigns, the primary adopts (and re-stamps) its
+                    # handoff, and the standby re-bootstraps from the WAL.
+                    standby.resign()
+                    handoff = standby.handoff.records()
                     journal.ingest(handoff, apply_to=manager)
                     caught_up = len(handoff)
-                    standby.discard_handoff()
+                    standby.handoff.discard_files()
+                    standby.follow(journal)
                 else:
-                    caught_up = self._ingest_disk_handoff(index, journal, manager)
+                    caught_up = fold_handoff(journal, manager)
             with self._id_lock:
                 for blob_id in manager.blob_ids():
                     self._next_blob_id = max(self._next_blob_id, blob_id + 1)
@@ -877,8 +872,8 @@ class ShardedVersionManager:
                 and self.standbys[predecessor] is None
                 and self.membership.status_of(predecessor) is ShardStatus.ACTIVE
             ):
-                self.standbys[predecessor] = ShardStandby(
-                    self.shard_ids[predecessor], self.journals[predecessor]
+                self.standbys[predecessor] = self._standby_following(
+                    self.journals[predecessor]
                 )
         return caught_up
 
@@ -911,7 +906,7 @@ class ShardedVersionManager:
         state — the escape hatch for journals predating membership
         durability.
         """
-        from ..resilience.failover import ShardStandby
+        from ..resilience.failover import fold_handoff
 
         journals = list(journals)
         if len(journals) != len(self.shards):
@@ -933,17 +928,15 @@ class ShardedVersionManager:
             # mid-takeover) must not receive the new deployment's stream.
             journal.clear_subscribers()
             manager = self._rebuild_shard_from_journal(index, journal)
-            self._ingest_disk_handoff(index, journal, manager)
+            fold_handoff(journal, manager)
         self.journals = journals
         self.standbys = None
         if failover and len(self.shards) > 1:
             self.standbys = [
-                ShardStandby(shard_id, journal)
+                self._standby_following(journal)
                 if self.membership.status_of(index) is not ShardStatus.RETIRED
                 else None
-                for index, (shard_id, journal) in enumerate(
-                    zip(self.shard_ids, journals)
-                )
+                for index, journal in enumerate(journals)
             ]
         # Re-journal the restored ring at the post-restore epoch (the
         # restore itself ran before the journals were re-attached).

@@ -321,6 +321,7 @@ def _manager_surface(get_manager: Callable[[], VersionManager]) -> Handlers:
 def coordinator_handlers(
     index: int, config: BlobSeerConfig, journal_dir: Optional[str] = None
 ) -> Handlers:
+    from ..resilience.failover import fold_handoff
     from ..resilience.journal import ShardJournal
 
     shard_id = f"vm-{index:03d}"
@@ -338,14 +339,8 @@ def coordinator_handlers(
             journal.replay_into(manager)
             manager.journal = journal
             # A rejoining primary folds in what its standby committed while
-            # it was down: the handoff journal's records are ingested into
-            # the WAL (and applied) and only then dropped from disk.
-            handoff = ShardJournal.open(journal_dir, shard_id=f"{shard_id}-handoff")
-            if handoff.has_history:
-                journal.ingest(handoff.records(), apply_to=manager)
-                handoff.discard_files()
-            else:
-                handoff.close()
+            # it was down.
+            fold_handoff(journal, manager)
         else:
             manager.journal = journal
             journal.snapshot(manager.dump_state())
@@ -480,13 +475,7 @@ def standby_handlers(
                 with state_lock:
                     if standby.taking_over or stop.is_set():
                         return
-                    standby.apply_batch(
-                        batch["stream_id"],
-                        batch["bootstrap"],
-                        batch["snapshot"],
-                        batch["snapshot_lsn"],
-                        batch["records"],
-                    )
+                    standby.apply_batch(batch["stream_id"], batch)
                 pulls[0] += 1
                 drain = bool(batch.get("truncated"))
             except (ConnectionError, OSError):

@@ -17,7 +17,7 @@ failures of physical components):
 """
 
 from .journal import JOURNAL_OPS, JournalRecord, JournalReplayError, ShardJournal, apply_record
-from .failover import ShardStandby, StreamedStandby
+from .failover import StreamedStandby
 from .scrub import AntiEntropyScrubber, ScrubReport, ScrubTick
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "ScrubReport",
     "ScrubTick",
     "ShardJournal",
-    "ShardStandby",
     "StreamedStandby",
     "apply_record",
 ]

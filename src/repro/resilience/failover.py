@@ -6,131 +6,71 @@ those blobs to *keep committing* while the shard is down.  The mechanism is
 the classic primary/backup pair built on the journal stream:
 
 * every shard's :class:`~repro.resilience.journal.ShardJournal` streams its
-  records to the :class:`ShardStandby` hosted on the shard's **ring
+  records to the :class:`StreamedStandby` hosted on the shard's **ring
   successor** (shard ``i``'s standby lives with shard ``(i + 1) % n``);
 * the standby applies each record to a replica ``VersionManager``, so it
   tracks the primary's state record by record — published frontier, pending
   versions, everything;
 * when the primary crashes, the router
-  (:class:`~repro.core.version_coordinator.ShardedVersionManager`) sends the
-  dead shard's traffic to the standby, which serves it from the replica and
-  logs every new transition to a **handoff journal**;
-* when the primary rejoins, it replays its own WAL (state as of the crash),
-  adopts the handoff records (what the standby committed in the meantime)
-  and resumes ownership; the standby keeps streaming as before.
+  (:class:`~repro.core.version_coordinator.ShardedVersionManager`, or the
+  process cluster's monitor) sends the dead shard's traffic to the standby,
+  which serves it from the replica and logs every new transition to a
+  **handoff journal**;
+* when the primary rejoins, the standby resigns, the primary replays its own
+  WAL (state as of the crash) and folds in the handoff records
+  (:func:`fold_handoff`), and the standby follows the primary again.
 
-The standby never talks back to the primary, so there are no lock cycles:
-records flow strictly primary → journal → standby.
+One standby class, two feeds of the same lsn cursor: in-process the stream
+is one local call (:meth:`StreamedStandby.follow` subscribes to the
+journal), across processes a puller thread fetches ``journal_stream``
+batches over RPC.  The standby never talks back to the primary, so there are
+no lock cycles: records flow strictly primary → journal → standby.
 """
 
 from __future__ import annotations
 
+import threading
+import uuid
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from ..core.errors import ServiceError
 from ..core.version_manager import VersionManager
 from .journal import JournalRecord, ShardJournal, apply_record
 
 
-class ShardStandby:
-    """Hot replica of one coordinator shard, fed by its journal stream."""
+def fold_handoff(journal: ShardJournal, manager: VersionManager) -> int:
+    """Primary rejoin: adopt the on-disk handoff its standby left behind.
 
-    def __init__(self, shard_id: str, journal: ShardJournal) -> None:
-        self.shard_id = shard_id
-        self.journal = journal
-        #: The replica state machine; identical to the primary after every
-        #: streamed record (the stream is emitted under the primary's lock).
-        self.manager = VersionManager()
-        self.taking_over = False
-        #: Transitions served *during* a takeover, handed back on rejoin.
-        #: Replaced by a live (file-backed when the primary is) journal at
-        #: :meth:`begin_takeover`.
-        self.handoff: ShardJournal = ShardJournal(shard_id=f"{shard_id}-handoff")
-        #: Monitoring counters.
-        self.records_applied = 0
-        self.takeovers = 0
-        # Bootstrap from whatever the journal already holds (snapshot +
-        # records), then follow the stream.
-        journal.replay_into(self.manager)
-        journal.subscribe(self._on_record)
-
-    def detach(self) -> None:
-        """Stop following the primary's stream (the standby's host died)."""
-        self.journal.unsubscribe(self._on_record)
-
-    def retire(self) -> None:
-        """Tear the standby down for good (its shard drained out of the
-        membership): stop following the stream and drop any handoff files —
-        a retired shard never rejoins, so there is nothing to hand back."""
-        self.detach()
-        self.taking_over = False
-        self.handoff.discard_files()
-
-    # -- the replication stream -----------------------------------------------------
-    def _on_record(self, record: JournalRecord) -> None:
-        if self.taking_over:
-            # The primary is (re)appending while we still own its traffic —
-            # only the recovery path does this, via ingest(), which never
-            # notifies.  A live primary streaming into an active takeover
-            # would mean two writers; fail loudly.
-            raise ServiceError(
-                f"shard {self.shard_id} streamed a record during takeover"
-            )
-        apply_record(self.manager, record)
-        self.records_applied += 1
-
-    # -- takeover lifecycle ------------------------------------------------------------
-    def begin_takeover(self) -> None:
-        """Start serving the dead primary's blobs from the replica.
-
-        From here on the replica is the shard's state of record: every
-        transition it performs is logged to the handoff journal — durably,
-        alongside the primary's WAL, when the primary is file-backed — so
-        the shard can catch up when it rejoins and a deployment restart
-        mid-takeover loses nothing that was acknowledged.
-        """
-        if self.taking_over:
-            return
-        self.handoff = ShardJournal(
-            shard_id=f"{self.shard_id}-handoff", directory=self.journal.directory
-        )
-        # A previous takeover's handoff was already folded into the primary
-        # WAL; starting from a stale file would corrupt the lsn sequence.
-        self.handoff.discard_files()
-        self.manager.journal = self.handoff
-        self.taking_over = True
-        self.takeovers += 1
-
-    def end_takeover(self) -> List[JournalRecord]:
-        """Stop serving; return the records committed while the primary was out.
-
-        The caller (shard recovery) ingests the records into the primary
-        journal and then calls :meth:`discard_handoff` — only after that
-        ingest are the on-disk handoff files safe to drop.
-        """
-        if not self.taking_over:
-            return []
-        records = self.handoff.records()
-        self.manager.journal = None
-        self.taking_over = False
-        return records
-
-    def discard_handoff(self) -> None:
-        """Drop the handoff files once the primary WAL holds their records."""
-        self.handoff.discard_files()
+    The handoff journal's records (everything the standby committed while
+    the primary was down) are ingested into the primary's WAL — re-stamped
+    with fresh lsns — and applied to ``manager``; only then are the handoff
+    files dropped.  Returns the records adopted (0 for an in-memory journal,
+    whose handoff died with its host).
+    """
+    if journal.directory is None:
+        return 0
+    handoff = ShardJournal.open(journal.directory, shard_id=f"{journal.shard_id}-handoff")
+    records = handoff.records()
+    journal.ingest(records, apply_to=manager)
+    handoff.discard_files()
+    return len(records)
 
 
 class StreamedStandby:
-    """Pull-based replica of one coordinator shard, for process-hosted standbys.
+    """Hot replica of one coordinator shard: one lsn cursor over its journal.
 
-    :class:`ShardStandby` rides the journal's in-process ``subscribe()``
-    callback — impossible across a process boundary.  A ``StreamedStandby``
-    instead applies batches fetched over the wire: the standby server's
-    puller thread calls the coordinator's ``journal_stream`` RPC with the
-    replica's acked lsn, and each response carries the primary's per-boot
-    ``stream_id`` token, an optional snapshot bootstrap, and the records
-    after that lsn.
+    The replica applies the primary's journal records in lsn order and
+    acks the highest one applied (:attr:`applied_lsn`).  Two feeds drive
+    the same cursor through :meth:`apply_batch`:
+
+    * **in-process** — :meth:`follow` bootstraps from a
+      :class:`~repro.resilience.journal.ShardJournal` and then receives each
+      append through its ``subscribe()`` hook;
+    * **across processes** — the standby server's puller thread calls the
+      coordinator's ``journal_stream`` RPC with the replica's acked lsn, and
+      each response carries the primary's per-boot ``stream_id`` token, an
+      optional snapshot bootstrap, and the records after that lsn.
 
     Transport-free by design: the :mod:`repro.net` layer fetches and decodes
     batches, this class holds the replica state machine, the lsn cursor, and
@@ -138,7 +78,7 @@ class StreamedStandby:
     restart mid-stream — a restarted primary folds its handoff records back
     in with *re-stamped* lsns, so resuming by lsn across a restart would
     silently diverge; a token mismatch forces a snapshot re-bootstrap
-    instead.
+    instead, and a standby that resigned holds no token at all.
     """
 
     def __init__(self, shard_id: str) -> None:
@@ -156,34 +96,58 @@ class StreamedStandby:
         self.records_applied = 0
         self.bootstraps = 0
         self.takeovers = 0
+        #: The in-process journal :meth:`follow` subscribed to, if any.
+        self._followed: Optional[ShardJournal] = None
+        # Serialises the in-process feed (appends arrive on committing
+        # threads) against the bootstrap and the takeover.
+        self._lock = threading.Lock()
+
+    # -- the in-process stream ----------------------------------------------------
+    def follow(self, journal: ShardJournal) -> None:
+        """Follow an in-process primary journal: bootstrap, then every append.
+
+        The journal hands out its bootstrap view and registers the
+        subscriber in one critical section, so each record is either in the
+        view or delivered to :meth:`_on_record`; an append delivered while
+        the view is still being applied waits on the replica lock.
+        """
+        self.unfollow()
+        with self._lock:
+            self._followed = journal
+            self.apply_batch(uuid.uuid4().hex, journal.subscribe(self._on_record))
+
+    def unfollow(self) -> None:
+        """Stop receiving the in-process stream (no-op when not following)."""
+        if self._followed is not None:
+            self._followed.unsubscribe(self._on_record)
+            self._followed = None
+
+    def _on_record(self, record: JournalRecord) -> None:
+        with self._lock:
+            self.apply_batch(self.stream_id, {"bootstrap": False, "records": (record,)})
 
     # -- the pull stream ----------------------------------------------------------
-    def apply_batch(
-        self,
-        stream_id: str,
-        bootstrap: bool,
-        snapshot: Optional[Dict[str, Any]],
-        snapshot_lsn: int,
-        records: Sequence[JournalRecord],
-    ) -> int:
-        """Apply one ``journal_stream`` response; returns records applied.
+    def apply_batch(self, stream_id: Optional[str], view: Dict[str, Any]) -> int:
+        """Apply one stream view; returns records applied.
 
-        A ``bootstrap`` batch replaces the replica wholesale (snapshot state
-        plus the primary's full record tail); an incremental batch must carry
-        the stream token the replica is already following, otherwise the
-        primary restarted since the last pull and the caller must re-request
-        with ``bootstrap=True`` rather than resume by lsn.
+        ``view`` has the shape of :meth:`ShardJournal.stream_state` (the
+        ``journal_stream`` RPC answers with it too).  A ``bootstrap`` view
+        replaces the replica wholesale (snapshot state plus the primary's
+        full record tail); an incremental view must come from the stream
+        token the replica is already following, otherwise the primary
+        restarted since the last pull and the caller must re-request with
+        ``bootstrap=True`` rather than resume by lsn.
         """
         if self.taking_over:
             raise ServiceError(
                 f"shard {self.shard_id} standby received stream records during takeover"
             )
-        if bootstrap:
+        if view["bootstrap"]:
             manager = VersionManager()
-            if snapshot is not None:
-                manager.load_state(snapshot)
+            if view["snapshot"] is not None:
+                manager.load_state(view["snapshot"])
             self.manager = manager
-            self.applied_lsn = int(snapshot_lsn)
+            self.applied_lsn = int(view["snapshot_lsn"])
             self.stream_id = stream_id
             self.bootstraps += 1
         elif self.stream_id != stream_id:
@@ -193,7 +157,7 @@ class StreamedStandby:
                 "re-bootstrap required"
             )
         applied = 0
-        for record in records:
+        for record in view["records"]:
             if record.lsn <= self.applied_lsn:
                 continue
             apply_record(self.manager, record)
@@ -211,38 +175,33 @@ class StreamedStandby:
         makes that WAL the durable truth, so registrations the primary
         acknowledged but never streamed (in flight when it was SIGKILLed)
         are recovered here, not lost.  If the replica has fallen behind a
-        snapshot truncation it rebuilds wholesale; otherwise it applies the
-        WAL tail past its cursor.  From then on every transition is logged
-        to a file-backed handoff journal the rejoining primary ingests; a
-        handoff left by a predecessor standby that died mid-takeover is
-        folded in first and extended, never discarded.
+        snapshot truncation, or follows no stream (it resigned, so the lsns
+        past its cursor may be its own handoff re-stamped), it rebuilds
+        wholesale; otherwise it applies the WAL tail past its cursor.  From
+        then on every transition is logged to a file-backed handoff journal
+        the rejoining primary ingests; a handoff left by a predecessor
+        standby that died mid-takeover is folded in first and extended,
+        never discarded.
         """
-        if self.taking_over:
-            return
-        if journal_dir is not None:
-            disk = ShardJournal.open(journal_dir, shard_id=self.shard_id)
-            if self.applied_lsn < disk.snapshot_lsn:
-                manager = VersionManager()
-                disk.replay_into(manager)
-                self.manager = manager
-                self.bootstraps += 1
-            else:
-                for record in disk.records_since(self.applied_lsn):
+        with self._lock:
+            if self.taking_over:
+                return
+            if journal_dir is not None:
+                disk = ShardJournal.open(journal_dir, shard_id=self.shard_id)
+                view = disk.stream_state(self.applied_lsn, bootstrap=self.stream_id is None)
+                disk.close()
+                self.apply_batch(self.stream_id, view)
+                self.handoff = ShardJournal.open(
+                    journal_dir, shard_id=f"{self.shard_id}-handoff"
+                )
+                for record in self.handoff.records():
                     apply_record(self.manager, record)
                     self.records_applied += 1
-            self.applied_lsn = max(self.applied_lsn, disk.last_lsn)
-            disk.close()
-            self.handoff = ShardJournal.open(
-                journal_dir, shard_id=f"{self.shard_id}-handoff"
-            )
-            for record in self.handoff.records():
-                apply_record(self.manager, record)
-                self.records_applied += 1
-        else:
-            self.handoff = ShardJournal(shard_id=f"{self.shard_id}-handoff")
-        self.manager.journal = self.handoff
-        self.taking_over = True
-        self.takeovers += 1
+            else:
+                self.handoff = ShardJournal(shard_id=f"{self.shard_id}-handoff")
+            self.manager.journal = self.handoff
+            self.taking_over = True
+            self.takeovers += 1
 
     def resign(self) -> None:
         """Stop serving (the primary is rejoining).
@@ -250,11 +209,15 @@ class StreamedStandby:
         Closes the handoff journal but leaves its files on disk — the
         respawned primary ingests them into its WAL and only then discards
         them; dropping them here would lose every commit the standby served.
+        The stream token is cleared: the primary re-stamps those records
+        into its WAL, so the replica's cursor no longer names a position in
+        the primary's lsn sequence.
         """
         if not self.taking_over:
             return
         self.manager.journal = None
         self.taking_over = False
+        self.stream_id = None
         self.handoff.close()
 
     def status(self) -> Dict[str, Any]:

@@ -41,10 +41,12 @@ re-derive deterministically.  A periodic **snapshot** bounds replay time:
 the journal captures the shard's full state (``VersionManager.dump_state``)
 and truncates the records it subsumes.
 
-The journal is also the shard's **replication stream**: subscribers
-(:class:`~repro.resilience.failover.ShardStandby` on the ring successor)
-receive every record as it is appended, so a hot standby tracks the primary
-record by record and can take over mid-workload.
+The journal is also the shard's **replication stream**: a
+:class:`~repro.resilience.failover.StreamedStandby` on the ring successor
+follows it by lsn — in-process by subscribing (:meth:`ShardJournal.
+subscribe` hands out the bootstrap view, then every append), across
+processes by pulling :meth:`ShardJournal.stream_state` over RPC — so a hot
+standby tracks the primary record by record and can take over mid-workload.
 
 Journals live in memory by default (the simulator's shards are in-process);
 pass ``directory`` to persist the WAL as JSON lines plus a snapshot file,
@@ -354,10 +356,17 @@ class ShardJournal:
             path.unlink(missing_ok=True)
 
     # -- streaming ----------------------------------------------------------------
-    def subscribe(self, callback: Callable[[JournalRecord], None]) -> None:
-        """Register a replication-stream consumer (called once per append)."""
+    def subscribe(self, callback: Callable[[JournalRecord], None]) -> Dict[str, Any]:
+        """Register a replication-stream consumer (called once per append).
+
+        Returns the bootstrap view (``stream_state(bootstrap=True)``) taken
+        in the same critical section as the registration: every record is
+        either in that view or delivered to ``callback``, never both and
+        never neither.
+        """
         with self._lock:
             self._subscribers.append(callback)
+            return self._stream_view(0, bootstrap=True)
 
     def unsubscribe(self, callback: Callable[[JournalRecord], None]) -> None:
         """Remove one stream consumer (no-op when it is not subscribed)."""
@@ -534,11 +543,6 @@ class ShardJournal:
         with self._lock:
             return list(self._records)
 
-    def records_since(self, lsn: int) -> List[JournalRecord]:
-        """Records with lsn strictly greater than ``lsn`` (catch-up reads)."""
-        with self._lock:
-            return [record for record in self._records if record.lsn > lsn]
-
     def stream_state(self, after_lsn: int = 0, bootstrap: bool = False) -> Dict[str, Any]:
         """One consistent catch-up view for a journal-stream follower.
 
@@ -550,19 +554,22 @@ class ShardJournal:
         snapshot and records can never straddle a concurrent compaction.
         """
         with self._lock:
-            if bootstrap or after_lsn < self._snapshot_lsn:
-                return {
-                    "bootstrap": True,
-                    "snapshot": self._snapshot_state,
-                    "snapshot_lsn": self._snapshot_lsn,
-                    "records": list(self._records),
-                }
+            return self._stream_view(after_lsn, bootstrap)
+
+    def _stream_view(self, after_lsn: int, bootstrap: bool) -> Dict[str, Any]:
+        if bootstrap or after_lsn < self._snapshot_lsn:
             return {
-                "bootstrap": False,
-                "snapshot": None,
+                "bootstrap": True,
+                "snapshot": self._snapshot_state,
                 "snapshot_lsn": self._snapshot_lsn,
-                "records": [record for record in self._records if record.lsn > after_lsn],
+                "records": list(self._records),
             }
+        return {
+            "bootstrap": False,
+            "snapshot": None,
+            "snapshot_lsn": self._snapshot_lsn,
+            "records": [record for record in self._records if record.lsn > after_lsn],
+        }
 
     @property
     def snapshot_lsn(self) -> int:

@@ -4,6 +4,8 @@ scrubbing, targeted failure injection and the QoS hooks they feed."""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core import BlobSeerConfig, BlobSeerDeployment
@@ -16,6 +18,7 @@ from repro.resilience import (
     JournalRecord,
     JournalReplayError,
     ShardJournal,
+    StreamedStandby,
     apply_record,
 )
 from repro.sim import (
@@ -448,6 +451,75 @@ class TestCoordinatorDurability:
             s.manager.versions_published for s in stale_standbys if s is not None
         ) < sum(s.manager.versions_published for s in restarted.standbys)
 
+    def test_standby_built_during_a_commit_keeps_it(self, monkeypatch):
+        """recover_shard(host) rebuilds the standby of the host's ring
+        predecessor while that predecessor keeps committing.  A commit that
+        races the standby's bootstrap must reach the replica: the bootstrap
+        view and the stream subscription are taken together."""
+        from repro.resilience import failover, journal as journal_module
+
+        vm, journals, blobs = committed_coordinator()
+        victim = vm.shard_index(blobs[0].blob_id)
+        host = vm.successor_index(victim)
+        vm.crash_shard(host)  # the victim's standby dies with its host
+        racer = []
+
+        def commit():
+            ticket = vm.register_append(blobs[0].blob_id, 8)
+            vm.publish(blobs[0].blob_id, ticket.version)
+
+        real_apply = journal_module.apply_record
+
+        def racing_apply(manager, record):
+            # Only the victim's journal holds records of blobs[0], so this
+            # fires inside the rebuild of the victim's standby.
+            if not racer and record.blob_id == blobs[0].blob_id:
+                racer.append(threading.Thread(target=commit))
+                racer[0].start()
+                racer[0].join(timeout=0.2)
+            real_apply(manager, record)
+
+        monkeypatch.setattr(journal_module, "apply_record", racing_apply)
+        monkeypatch.setattr(failover, "apply_record", racing_apply)
+        vm.recover_shard(host)
+        assert racer, "the standby bootstrap never replayed the victim's blob"
+        racer[0].join(timeout=10.0)
+        assert not racer[0].is_alive()
+        assert vm.latest_version(blobs[0].blob_id) == 2
+        assert vm.standbys[victim].manager.dump_state() == vm.shards[victim].dump_state()
+        vm.crash_shard(victim)
+        assert vm.latest_version(blobs[0].blob_id) == 2
+
+    @pytest.mark.parametrize("file_backed", [False, True], ids=["in-memory", "file-backed"])
+    def test_repeated_failover_on_one_shard(self, tmp_path, file_backed):
+        """Three crash -> commit on the standby -> recover -> commit cycles on
+        one shard: every rejoin re-follows the primary after adopting the
+        handoff, so versions stay dense and the replica stays exact."""
+        vm = ShardedVersionManager(num_shards=3)
+        vm.enable_durability(directory=tmp_path if file_backed else None)
+        blobs = [vm.create_blob(chunk_size=16) for _ in range(12)]
+        victim = vm.shard_index(blobs[0].blob_id)
+        owned = [b for b in blobs if vm.shard_index(b.blob_id) == victim]
+
+        def commit_owned():
+            for b in owned:
+                ticket = vm.register_append(b.blob_id, 8)
+                vm.publish(b.blob_id, ticket.version)
+
+        for cycle in range(1, 4):
+            vm.crash_shard(victim)
+            commit_owned()  # served by the standby
+            assert vm.recover_shard(victim) == 2 * len(owned)
+            assert vm.standbys[victim].manager.dump_state() == vm.shards[victim].dump_state()
+            commit_owned()
+            for b in owned:
+                latest = vm.latest_version(b.blob_id)
+                assert latest == 2 * cycle
+                history = vm.get_history(b.blob_id, latest)
+                assert [record.version for record in history] == list(range(1, latest + 1))
+            assert vm.standbys[victim].manager.dump_state() == vm.shards[victim].dump_state()
+        assert (vm.failovers, vm.recoveries) == (3, 3)
+
     def test_active_index_stays_home_without_serving_standby(self):
         vm = ShardedVersionManager(num_shards=3)
         vm.enable_durability(failover=False)
@@ -483,6 +555,42 @@ class TestCoordinatorDurability:
         manager = VersionManager()
         blob = manager.create_blob(chunk_size=16, avoid_shards=[0])
         assert blob.blob_id == 1
+
+
+class TestStreamedStandby:
+    def test_takeover_after_primary_rejoin_does_not_reapply_the_handoff(self, tmp_path):
+        """The process rejoin, step by step: the standby resigns, the
+        primary re-stamps the standby's handoff into its WAL, and dies
+        again before the standby's next pull.  The next takeover must not
+        apply those records on top of the replica that produced them."""
+        primary = VersionManager()
+        journal = ShardJournal(shard_id="vm-000", directory=tmp_path)
+        journal.snapshot(primary.dump_state())
+        primary.journal = journal
+        blob = primary.create_blob(chunk_size=16)
+        ticket = primary.register_append(blob.blob_id, 16)
+        primary.publish(blob.blob_id, ticket.version)
+        standby = StreamedStandby("vm-000")
+        standby.apply_batch("boot-1", journal.stream_state(bootstrap=True))
+        journal.close()  # the primary dies
+        standby.take_over(tmp_path)
+        ticket = standby.manager.register_append(blob.blob_id, 16)
+        standby.manager.publish(blob.blob_id, ticket.version)
+        standby.resign()
+        # The primary reboots: WAL replay, then the handoff re-stamped as
+        # lsns 4-5 ...
+        rejoined = VersionManager()
+        reopened = ShardJournal.open(tmp_path, shard_id="vm-000")
+        reopened.replay_into(rejoined)
+        rejoined.journal = reopened
+        handoff = ShardJournal.open(tmp_path, shard_id="vm-000-handoff")
+        adopted = reopened.ingest(handoff.records(), apply_to=rejoined)
+        handoff.discard_files()
+        assert [record.lsn for record in adopted] == [4, 5]
+        reopened.close()  # ... and dies before the standby pulls again.
+        standby.take_over(tmp_path)
+        assert standby.manager.latest_version(blob.blob_id) == 2
+        assert standby.manager.dump_state() == rejoined.dump_state()
 
 
 # ---------------------------------------------------------------------------
