@@ -228,7 +228,6 @@ def run_scrub_convergence() -> ResultTable:
             num_metadata_providers=8,
             metadata_replication=3,
             chunk_size=16 * KB,
-            scrub_batch_size=64,
         )
     )
     blob = cluster.create_blob()

@@ -57,29 +57,19 @@ class BlobSeerConfig:
     metadata_replication: int = 1
     #: Use the persistent (file-backed) chunk store instead of RAM only.
     persistent_storage: bool = False
-    #: Directory used by persistent stores (``None`` -> temporary dir).
+    #: Directory used by persistent stores (``None`` -> temporary dir owned
+    #: by the deployment); deployments reject it without ``persistent_storage``.
     storage_root: str | None = None
     #: Journal every version-coordinator shard (write-ahead log + snapshot);
     #: a crashed/restarted shard replays back to its published frontier.
     journal_enabled: bool = False
     #: Auto-snapshot a shard journal every N records (0 = never compact).
     journal_snapshot_interval: int = 0
-    #: Stream each shard's journal to a hot standby on its ring successor,
-    #: which serves the shard's blobs while it is down (needs >= 2 shards
-    #: and ``journal_enabled``).
+    #: Stream each shard's journal to a hot standby that serves the shard's
+    #: blobs while it is down (needs ``journal_enabled``; in-process the
+    #: standby lives on the ring successor, so it needs >= 2 shards;
+    #: networked it is its own process and needs ``net_standby_per_shard``).
     shard_failover: bool = True
-    #: Seconds between background anti-entropy scrub passes over the
-    #: metadata DHT (0 = scrubbing disabled).
-    scrub_interval: float = 0.0
-    #: Keys examined per scrub batch (one digest/repair round per batch).
-    scrub_batch_size: int = 64
-    #: Upper bound on scrub batches examined per tick (0 = whole ring per
-    #: tick).  The scrubber persists its ring-walk cursor across ticks, so
-    #: large rings are scrubbed incrementally instead of in one burst.
-    scrub_max_batches_per_tick: int = 0
-    #: Skip a scrub tick when the clients' metadata RPC rate over the last
-    #: window exceeds this many rounds/second (0 = no backpressure).
-    scrub_backpressure_rpc_rate: float = 0.0
     #: How client operations reach the services: ``"direct"`` composes the
     #: deployment in-process (the default); ``"network"`` spawns each
     #: service as its own process and talks framed RPC over TCP
@@ -196,14 +186,6 @@ def validate_config(config: BlobSeerConfig) -> None:
         )
     if config.journal_snapshot_interval < 0:
         raise InvalidConfigError("journal_snapshot_interval must be >= 0")
-    if config.scrub_interval < 0:
-        raise InvalidConfigError("scrub_interval must be >= 0")
-    if config.scrub_batch_size < 1:
-        raise InvalidConfigError("scrub_batch_size must be >= 1")
-    if config.scrub_max_batches_per_tick < 0:
-        raise InvalidConfigError("scrub_max_batches_per_tick must be >= 0")
-    if config.scrub_backpressure_rpc_rate < 0:
-        raise InvalidConfigError("scrub_backpressure_rpc_rate must be >= 0")
     if config.transport not in ("direct", "network"):
         raise InvalidConfigError(
             f"unknown transport {config.transport!r}; expected 'direct' or 'network'"

@@ -11,7 +11,8 @@ fault-tolerance experiments can crash and recover providers.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, List, Optional
 
 from ..storage.memory_store import ChunkStore, MemoryChunkStore
 from .errors import ChunkNotFoundError, ProviderUnavailableError
@@ -57,6 +58,13 @@ class DataProvider:
         if lose_data and hasattr(self._store, "clear"):
             self._store.clear()  # type: ignore[attr-defined]
         self._alive = True
+
+    def close(self) -> None:
+        """Flush and close the backing store's files (a no-op for RAM)."""
+        for store in (self._store, getattr(self._store, "backend", None)):
+            close = getattr(store, "close", None)
+            if callable(close):
+                close()
 
     def _check_alive(self) -> None:
         if not self._alive:
@@ -196,3 +204,68 @@ class ProviderPool:
 
     def total_bytes_stored(self) -> int:
         return sum(p.bytes_stored for p in self._providers.values() if p.alive)
+
+
+@dataclass
+class LedgerEntry:
+    """Bookkeeping for one data provider whose payloads live elsewhere."""
+
+    provider_id: str
+    chunks_stored: int = 0
+    bytes_stored: int = 0
+    bytes_read: int = 0
+    reads_served: int = 0
+    writes_served: int = 0
+    alive: bool = True
+    failures: int = 0
+
+    def report(self) -> Dict[str, Any]:
+        return asdict(self)
+
+
+class ProviderLedger:
+    """A payload-free stand-in for :class:`ProviderPool`.
+
+    The provider manager only needs membership, liveness and a load signal;
+    the ledger tracks those without ever holding chunk payloads.  The
+    simulator uses it (its providers store sizes only) and so does the
+    networked provider-manager process (the bytes live in the provider
+    processes).  Providers placed in ``excluded`` stay readable but receive
+    no new allocations — the QoS feedback controller uses this to steer
+    writes away from failure-prone machines.
+    """
+
+    def __init__(self, provider_ids: List[str]) -> None:
+        self._entries: Dict[str, LedgerEntry] = {
+            pid: LedgerEntry(provider_id=pid) for pid in provider_ids
+        }
+        #: Providers excluded from new allocations (QoS feedback action).
+        self.excluded: set = set()
+
+    @property
+    def provider_ids(self) -> List[str]:
+        return sorted(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, provider_id: str) -> LedgerEntry:
+        return self._entries[provider_id]
+
+    def live_provider_ids(self) -> List[str]:
+        live = sorted(
+            pid
+            for pid, e in self._entries.items()
+            if e.alive and pid not in self.excluded
+        )
+        if live:
+            return live
+        # If feedback excluded everything that is alive, fall back to liveness
+        # only — excluding all providers must never wedge the system.
+        return sorted(pid for pid, e in self._entries.items() if e.alive)
+
+    def reports(self) -> List[Dict[str, Any]]:
+        return [entry.report() for entry in self._entries.values()]
+
+    def total_bytes_stored(self) -> int:
+        return sum(e.bytes_stored for e in self._entries.values() if e.alive)

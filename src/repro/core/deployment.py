@@ -1,4 +1,4 @@
-"""Deployment wiring: build a full BlobSeer service instance from a config.
+"""Deployment wiring: the one place a config becomes service objects.
 
 A :class:`BlobSeerDeployment` owns all the service-side processes of one
 BlobSeer instance — the data providers, the metadata-provider DHT, the
@@ -7,23 +7,139 @@ real system these are separate processes on separate machines; here they
 are in-process objects invoked through direct calls (functional testing,
 examples) or driven by the discrete-event simulator (benchmarks), but the
 protocol between them is the same.
+
+Every deployment assembles its services through the builders below — the
+in-process one, :class:`~repro.sim.cluster.SimulatedBlobSeer`, and
+:class:`~repro.net.deployment.ProcessDeployment` with its server roles — so
+each assembly knob of :class:`~repro.core.config.BlobSeerConfig` means the
+same thing in all of them, or is rejected:
+
+* :func:`resolve_storage_root` and :func:`make_data_provider` — a
+  provider's chunk store (``persistent_storage``, ``storage_root``);
+* :func:`make_metadata_store` — the metadata DHT (``dht_virtual_nodes``,
+  ``metadata_replication``) over in-process stores or remote stubs, and
+  :func:`make_metadata_node` — one member store;
+* :func:`make_version_coordinator` and :func:`open_shard_journal` — the
+  sharded version coordinator and its journals (``journal_enabled``,
+  ``journal_snapshot_interval``, ``shard_failover``);
+* :func:`provider_ledger` and :func:`simulated_provider_pool` — the
+  payload-free pools a :class:`~repro.core.provider_manager.ProviderManager`
+  places chunks over when the bytes live elsewhere.
 """
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..dht.distributed_store import DistributedKeyValueStore
+from ..dht.store import KeyValueStore
 from ..storage.cached_store import CachedChunkStore
-from ..storage.memory_store import MemoryChunkStore
+from ..storage.memory_store import ChunkStore, MemoryChunkStore
 from ..storage.persistent_store import PersistentChunkStore
 from .config import BlobSeerConfig
-from .data_provider import DataProvider, ProviderPool
+from .data_provider import DataProvider, ProviderLedger, ProviderPool
+from .errors import InvalidConfigError
 from .provider_manager import ProviderManager
 from .types import BlobInfo
 from .version_coordinator import ShardedVersionManager
+
+#: RAM cache in front of each persistent chunk log (the paper, IV.B).
+CHUNK_CACHE_BYTES = 64 * 1024 * 1024
+
+
+# -- data providers -----------------------------------------------------------------
+def resolve_storage_root(config: BlobSeerConfig) -> Tuple[Optional[str], bool]:
+    """``(root, owned)``: where persistent chunk stores live.
+
+    ``root`` is ``None`` for RAM-only providers.  Without a configured
+    ``storage_root`` a fresh temporary directory is made; ``owned`` tells
+    the caller it must remove that directory when it closes.
+    """
+    if not config.persistent_storage:
+        if config.storage_root is not None:
+            raise InvalidConfigError("storage_root needs persistent_storage=True")
+        return None, False
+    if config.storage_root is not None:
+        return config.storage_root, False
+    return tempfile.mkdtemp(prefix="blobseer-"), True
+
+
+def make_data_provider(index: int, storage_root: Optional[str]) -> DataProvider:
+    """Provider ``index`` with a RAM chunk store, or with a persistent log
+    under ``storage_root`` behind a RAM cache."""
+    provider_id = f"provider-{index:03d}"
+    store: ChunkStore = MemoryChunkStore()
+    if storage_root is not None:
+        # A bounded absent-key set lets repeated misses skip the backend.
+        store = CachedChunkStore(
+            PersistentChunkStore(Path(storage_root) / provider_id),
+            cache_capacity_bytes=CHUNK_CACHE_BYTES,
+            negative_capacity=1024,
+        )
+    return DataProvider(provider_id=provider_id, store=store, host=f"host-{index:03d}")
+
+
+def provider_ledger(config: BlobSeerConfig) -> ProviderLedger:
+    """A payload-free pool mirroring the provider fleet (placement input)."""
+    return ProviderLedger([f"provider-{i:03d}" for i in range(config.num_data_providers)])
+
+
+def simulated_provider_pool(config: BlobSeerConfig) -> ProviderLedger:
+    """The simulator's pool: simulated providers hold no payloads, so a
+    config asking for persistent chunk stores is rejected, not ignored."""
+    if config.persistent_storage or config.storage_root is not None:
+        raise InvalidConfigError(
+            "the simulator's providers hold no payloads: "
+            "persistent_storage and storage_root are not supported"
+        )
+    return provider_ledger(config)
+
+
+# -- metadata and versioning ---------------------------------------------------------
+def make_metadata_node(index: int) -> KeyValueStore:
+    """One metadata provider's member store (a ``meta`` server process)."""
+    return KeyValueStore(provider_id=f"meta-{index:03d}")
+
+
+def make_metadata_store(
+    config: BlobSeerConfig, stores: Optional[Mapping[str, Any]] = None
+) -> DistributedKeyValueStore:
+    """The metadata DHT; ``stores`` maps provider ids to remote stubs when
+    the member stores live in other processes."""
+    return DistributedKeyValueStore(
+        provider_ids=[f"meta-{i:03d}" for i in range(config.num_metadata_providers)],
+        virtual_nodes=config.dht_virtual_nodes,
+        replication=config.metadata_replication,
+        stores=stores,
+    )
+
+
+def make_version_coordinator(config: BlobSeerConfig) -> ShardedVersionManager:
+    """The sharded version coordinator, journaled (with standbys) on request."""
+    coordinator = ShardedVersionManager(
+        num_shards=config.num_version_managers,
+        virtual_nodes=config.dht_virtual_nodes,
+    )
+    if config.journal_enabled:
+        coordinator.enable_durability(
+            snapshot_interval=config.journal_snapshot_interval,
+            failover=config.shard_failover,
+        )
+    return coordinator
+
+
+def open_shard_journal(config: BlobSeerConfig, directory: str, index: int):
+    """Reopen (or start) coordinator shard ``index``'s file-backed journal."""
+    from ..resilience.journal import ShardJournal
+
+    return ShardJournal.open(
+        directory,
+        shard_id=f"vm-{index:03d}",
+        snapshot_interval=config.journal_snapshot_interval,
+    )
 
 
 class BlobSeerDeployment:
@@ -31,59 +147,18 @@ class BlobSeerDeployment:
 
     def __init__(self, config: Optional[BlobSeerConfig] = None, seed: int = 0) -> None:
         self.config = config or BlobSeerConfig()
-        self._seed = seed
-        self._tempdir: Optional[tempfile.TemporaryDirectory] = None
-
+        self._storage_root, self._owns_storage_root = resolve_storage_root(self.config)
         self.data_providers: List[DataProvider] = [
-            DataProvider(
-                provider_id=f"provider-{index:03d}",
-                store=self._make_store(index),
-                host=f"host-{index:03d}",
-            )
+            make_data_provider(index, self._storage_root)
             for index in range(self.config.num_data_providers)
         ]
         self.provider_pool = ProviderPool(self.data_providers)
-        self.metadata_store = DistributedKeyValueStore(
-            provider_ids=[
-                f"meta-{index:03d}" for index in range(self.config.num_metadata_providers)
-            ],
-            virtual_nodes=self.config.dht_virtual_nodes,
-            replication=self.config.metadata_replication,
-        )
+        self.metadata_store = make_metadata_store(self.config)
         # The version-coordinator service: blobs are routed to one of
         # ``num_version_managers`` shards, each its own serialisation domain.
-        self.version_manager = ShardedVersionManager(
-            num_shards=self.config.num_version_managers,
-            virtual_nodes=self.config.dht_virtual_nodes,
-        )
-        if self.config.journal_enabled:
-            self.version_manager.enable_durability(
-                snapshot_interval=self.config.journal_snapshot_interval,
-                failover=self.config.shard_failover,
-            )
-        self.provider_manager = ProviderManager(
-            pool=self.provider_pool, config=self.config, seed=seed
-        )
+        self.version_manager = make_version_coordinator(self.config)
+        self.provider_manager = ProviderManager(self.provider_pool, self.config, seed=seed)
         self._next_client_id = 0
-
-    # -- construction helpers -----------------------------------------------------
-    def _make_store(self, index: int):
-        if not self.config.persistent_storage:
-            return MemoryChunkStore()
-        root = self.config.storage_root
-        if root is None:
-            if self._tempdir is None:
-                self._tempdir = tempfile.TemporaryDirectory(prefix="blobseer-")
-            root = self._tempdir.name
-        provider_dir = Path(root) / f"provider-{index:03d}"
-        persistent = PersistentChunkStore(provider_dir)
-        # RAM cache in front of the persistent log, as in the paper (IV.B),
-        # plus a bounded absent-key set so repeated misses skip the backend.
-        return CachedChunkStore(
-            persistent,
-            cache_capacity_bytes=64 * 1024 * 1024,
-            negative_capacity=1024,
-        )
 
     # -- clients --------------------------------------------------------------------
     def client(self, client_id: Optional[str] = None, transport=None):
@@ -128,21 +203,13 @@ class BlobSeerDeployment:
         """Monitoring records from every data provider (QoS input)."""
         return self.provider_pool.reports()
 
-    def metadata_report(self) -> Dict[str, Dict[str, int]]:
-        return self.metadata_store.access_stats()
-
     def close(self) -> None:
         """Release any on-disk resources held by persistent stores."""
         for provider in self.data_providers:
-            store = getattr(provider, "_store", None)
-            backend = getattr(store, "backend", None)
-            for candidate in (store, backend):
-                close = getattr(candidate, "close", None)
-                if callable(close):
-                    close()
-        if self._tempdir is not None:
-            self._tempdir.cleanup()
-            self._tempdir = None
+            provider.close()
+        if self._owns_storage_root and self._storage_root is not None:
+            shutil.rmtree(self._storage_root, ignore_errors=True)
+            self._storage_root = None
 
     def __enter__(self) -> "BlobSeerDeployment":
         return self

@@ -110,15 +110,23 @@ def latest_version_touching(
     This is the borrowed-reference rule described in the module docstring.
     Returns ``None`` when no write up to the base snapshot touched the
     range (the range is a hole there).
+
+    ``history`` is in version order, so the scan walks it newest first and
+    stops at the first overlap.  Snapshot sizes never shrink, so the newest
+    record at or below ``upto_version`` carries the base snapshot's size:
+    a range starting at or past it is a hole without further scanning.
     """
-    best: Optional[Version] = None
-    for record in history:
+    base_size: Optional[int] = None
+    for record in reversed(history):
         if record.version > upto_version:
             continue
+        if base_size is None:
+            base_size = record.new_size
+            if node_range.start >= base_size:
+                return None
         if record.interval.overlaps(node_range):
-            if best is None or record.version > best:
-                best = record.version
-    return best
+            return record.version
+    return None
 
 
 # ---------------------------------------------------------------------------

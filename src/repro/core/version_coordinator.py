@@ -74,12 +74,13 @@ MIGRATION_BATCH_BLOBS = 16
 class VersionCoordinator(Protocol):
     """The version-coordination service surface the rest of the system uses.
 
-    Implemented by :class:`~repro.core.version_manager.VersionManager`
-    (one shard) and :class:`ShardedVersionManager` (N shards).  Callers
-    that want to charge a request to the right simulated machine — or group
-    a batch's serialised rounds — ask :meth:`shard_index` who owns a blob;
-    epoch-aware callers use :meth:`route` to pin (shard, epoch) pairs;
-    everything else is the familiar version-manager API.
+    Implemented by :class:`ShardedVersionManager`, which routes each blob
+    to one of its :class:`~repro.core.version_manager.VersionManager`
+    shards.  Callers that want to charge a request to the right simulated
+    machine — or group a batch's serialised rounds — ask
+    :meth:`shard_index` who owns a blob; epoch-aware callers use
+    :meth:`route` to pin (shard, epoch) pairs; everything else is the
+    familiar version-manager API.
     """
 
     # routing

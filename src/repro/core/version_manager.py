@@ -103,28 +103,6 @@ class VersionManager:
         #: crashed shard replays back to its exact frontier.
         self.journal = None
 
-    # -- coordinator surface (degenerate single-shard case) ----------------------
-    @property
-    def num_shards(self) -> int:
-        return 1
-
-    @property
-    def epoch(self) -> int:
-        """Membership epoch (a lone shard's membership never changes)."""
-        return 1
-
-    def shard_index(self, blob_id: BlobId) -> int:
-        """Owning shard of ``blob_id`` (always 0: there is only this one)."""
-        return 0
-
-    def active_shard_index(self, blob_id: BlobId) -> int:
-        """Shard currently *serving* ``blob_id`` (no failover here: 0)."""
-        return 0
-
-    def route(self, blob_id: BlobId) -> Tuple[int, int]:
-        """Atomic ``(owning shard, membership epoch)`` pair — here (0, 1)."""
-        return 0, 1
-
     # -- blob lifecycle ---------------------------------------------------------
     def create_blob(
         self,

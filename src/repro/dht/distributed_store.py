@@ -21,7 +21,7 @@ its keys forever.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import MetadataNotFoundError, ServiceError
 from ..core.transport import parallel_map
@@ -48,6 +48,7 @@ class DistributedKeyValueStore:
         provider_ids: Sequence[str],
         virtual_nodes: int = 32,
         replication: int = 1,
+        stores: Optional[Mapping[str, KeyValueStore]] = None,
     ) -> None:
         if not provider_ids:
             raise ValueError("at least one metadata provider is required")
@@ -59,7 +60,10 @@ class DistributedKeyValueStore:
         self._alive: Dict[str, bool] = {}
         for pid in provider_ids:
             self._ring.add_node(pid)
-            self._stores[pid] = KeyValueStore(provider_id=pid)
+            # ``stores`` supplies prebuilt members (remote stubs in networked
+            # mode); the rest are built in-process.
+            store = stores.get(pid) if stores is not None else None
+            self._stores[pid] = store if store is not None else KeyValueStore(provider_id=pid)
             self._alive[pid] = True
         #: Optional callback invoked as (provider_id, op, key) on every access;
         #: the simulator and the QoS monitor hook in here.  Scalar accesses
@@ -345,9 +349,3 @@ class DistributedKeyValueStore:
     def total_entries(self) -> int:
         return sum(len(store) for store in self._stores.values())
 
-    def rebalance_report(self, keys: Iterable[Any]) -> Dict[str, int]:
-        """How a hypothetical key set would distribute over live providers."""
-        counts = {pid: 0 for pid in self._stores}
-        for key in keys:
-            counts[self.owners(key)[0]] += 1
-        return counts

@@ -9,9 +9,14 @@ facade exposes the same attributes the client wiring reads
 ``config``, ``client()``/``create_blob()``), backed by the RPC proxies,
 so ``BlobSeerClient`` code runs against it unchanged.
 
-Failover (PR 8): when the deployment is journal-backed (``journal_enabled``
-or an explicit ``journal_dir`` — without one a standby would have nothing
-durable to recover from) and ``net_standby_per_shard`` is 1, every
+The :mod:`repro.core.deployment` builders assemble every service, so
+each knob means what it means in-process; like the WAL directory, a
+persistent storage root is a temporary directory owned (and removed on
+close) unless the config names one.
+
+Failover: when the deployment is journal-backed (``journal_enabled`` or
+an explicit ``journal_dir``: a standby needs a durable log to recover
+from), ``shard_failover`` is on and ``net_standby_per_shard`` is 1, every
 coordinator shard gets a ``--role standby`` process following its journal
 stream, and a :class:`~repro.net.monitor.ClusterMonitor` heartbeats the
 coordinator fleet: a shard that misses ``net_failover_suspect_after``
@@ -43,18 +48,14 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import BlobSeerConfig
+from ..core.deployment import make_metadata_store, resolve_storage_root
 from ..core.membership import ShardStatus
 from ..core.types import BlobInfo
 from ..obs import configure_observability
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .monitor import ClusterMonitor
-from .proxies import (
-    NetworkDistributedStore,
-    RemoteCoordinator,
-    RemoteKeyValueStore,
-    RemoteProviderManager,
-)
+from .proxies import RemoteCoordinator, RemoteKeyValueStore, RemoteProviderManager
 from .rpc import RpcClient
 from .transport import NetworkTransport
 
@@ -76,6 +77,10 @@ class ProcessDeployment:
     ) -> None:
         self.config = config or BlobSeerConfig()
         self.host = host or self.config.net_host
+        self._seed = seed
+        # One storage root for every provider process, resolved (and owned)
+        # the way the journal directory is below.
+        self._storage_root, self._owns_storage_root = resolve_storage_root(self.config)
         self._journal_dir = journal_dir
         self._owns_journal_dir = False
         if self._journal_dir is None and self.config.journal_enabled:
@@ -121,8 +126,13 @@ class ProcessDeployment:
 
     @property
     def with_standbys(self) -> bool:
-        """Whether this deployment hosts standby processes (needs a WAL)."""
-        return bool(self.config.net_standby_per_shard > 0 and self._journal_dir)
+        """Whether this deployment hosts standby processes: failover must be
+        on, one standby per shard asked for, and a WAL to stream from."""
+        return bool(
+            self.config.shard_failover
+            and self.config.net_standby_per_shard > 0
+            and self._journal_dir
+        )
 
     @property
     def processes(self) -> List[subprocess.Popen]:
@@ -134,6 +144,10 @@ class ProcessDeployment:
         extra: List[str] = []
         if role in ("coordinator", "standby") and self._journal_dir:
             extra += ["--journal-dir", str(self._journal_dir)]
+        if role == "provider" and self._storage_root is not None:
+            extra += ["--storage-root", str(self._storage_root)]
+        if role == "pmgr":
+            extra += ["--seed", str(self._seed)]
         if role == "standby":
             primary = self._addrs[("coordinator", index)]
             extra += ["--primary", f"{primary[0]}:{primary[1]}"]
@@ -220,11 +234,7 @@ class ProcessDeployment:
             )
             for index in range(self.config.num_metadata_providers)
         }
-        self.metadata_store = NetworkDistributedStore(
-            self._meta_stubs,
-            virtual_nodes=self.config.dht_virtual_nodes,
-            replication=self.config.metadata_replication,
-        )
+        self.metadata_store = make_metadata_store(self.config, stores=self._meta_stubs)
         standby_rpcs: List[Optional[RpcClient]] = [
             self._rpc(addrs[("standby", index)])
             if ("standby", index) in addrs
@@ -550,6 +560,9 @@ class ProcessDeployment:
         if self._owns_journal_dir and self._journal_dir:
             shutil.rmtree(self._journal_dir, ignore_errors=True)
             self._journal_dir = None
+        if self._owns_storage_root and self._storage_root:
+            shutil.rmtree(self._storage_root, ignore_errors=True)
+            self._storage_root = None
 
     def __enter__(self) -> "ProcessDeployment":
         return self

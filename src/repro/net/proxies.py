@@ -8,12 +8,10 @@ remote processes; the network cost lands inside the proxy methods and is
 attributed to operations through :func:`repro.net.rpc.drain_timings`.
 
 * :class:`RemoteKeyValueStore` speaks one DHT store node's method surface
-  over an :class:`~repro.net.rpc.RpcClient`;
-* :class:`NetworkDistributedStore` is the full metadata DHT — the
-  in-process :class:`~repro.dht.distributed_store.DistributedKeyValueStore`
-  with its per-provider stores swapped for remote stubs, which keeps the
-  ring placement, replication, read repair and vectored fan-out logic
-  byte-for-byte identical to direct mode;
+  over an :class:`~repro.net.rpc.RpcClient`; the deployment hands these
+  stubs to :func:`~repro.core.deployment.make_metadata_store`, so the
+  metadata DHT's ring placement, replication, read repair and vectored
+  fan-out run in the client process exactly as in direct mode;
 * :class:`RemoteCoordinator` mirrors the sharded coordinator: a local
   :class:`~repro.core.membership.CoordinatorMembership` (same shard ids,
   same virtual-node count → identical routing) picks the shard, one
@@ -36,7 +34,6 @@ from ..core.errors import EpochRetryError, ServiceError
 from ..core.membership import CoordinatorMembership, ShardStatus
 from ..core.types import BlobId, BlobInfo, SnapshotInfo, Version, WritePlan
 from ..core.version_manager import WriteState
-from ..dht.distributed_store import DistributedKeyValueStore
 from ..obs import metrics as obs_metrics
 from .rpc import RpcClient
 
@@ -78,29 +75,6 @@ class RemoteKeyValueStore:
     @property
     def stats(self) -> Dict[str, int]:
         return self._rpc.call("stats")
-
-
-class NetworkDistributedStore(DistributedKeyValueStore):
-    """The metadata DHT with every member store living in its own process.
-
-    Only the per-provider leaf calls change; placement, replication,
-    fallback and read repair run in this process exactly as in-process
-    deployments run them.
-    """
-
-    def __init__(
-        self,
-        stubs: Dict[str, RemoteKeyValueStore],
-        virtual_nodes: int = 32,
-        replication: int = 1,
-    ) -> None:
-        super().__init__(
-            provider_ids=list(stubs),
-            virtual_nodes=virtual_nodes,
-            replication=replication,
-        )
-        for pid, stub in stubs.items():
-            self._stores[pid] = stub  # type: ignore[assignment]
 
 
 class RemoteCoordinator:
@@ -276,9 +250,6 @@ class RemoteCoordinator:
 
     def active_shard_index(self, blob_id: BlobId) -> int:
         return self.shard_index(blob_id)
-
-    def _shard(self, blob_id: BlobId) -> RpcClient:
-        return self._rpcs[self.shard_index(blob_id)]
 
     # -- blob-id allocation (shard 0 hosts the counter) ----------------------------
     def _alloc_blob_id(self) -> BlobId:

@@ -1,11 +1,13 @@
 """Asyncio TCP servers hosting the in-process services unchanged.
 
 One process hosts one service instance — exactly the objects
-``BlobSeerDeployment`` composes in-process, constructed the same way and
-driven through the same methods, only reached through framed RPCs instead
-of direct calls:
+``BlobSeerDeployment`` composes in-process, built by the same
+:mod:`repro.core.deployment` builders and driven through the same methods,
+only reached through framed RPCs instead of direct calls:
 
-* ``provider`` — a :class:`~repro.core.data_provider.DataProvider`;
+* ``provider`` — a :class:`~repro.core.data_provider.DataProvider` whose
+  chunk store is RAM, or a persistent log plus RAM cache under
+  ``--storage-root`` (``persistent_storage``);
 * ``meta`` — a DHT store node (:class:`~repro.dht.store.KeyValueStore`);
 * ``coordinator`` — one coordinator shard
   (:class:`~repro.core.version_manager.VersionManager`), optionally
@@ -16,9 +18,10 @@ of direct calls:
   the in-process coordinator's documented id semantics);
 * ``standby`` — a hot standby for one coordinator shard, following the
   primary's journal and serving the shard after ``take_over``;
-* ``pmgr`` — a :class:`~repro.core.provider_manager.ProviderManager` over
-  a bookkeeping pool that mirrors the provider fleet (placement state
-  lives here; the bytes live in the provider processes, so the pool's
+* ``pmgr`` — a :class:`~repro.core.provider_manager.ProviderManager`
+  seeded by ``--seed``, over the payload-free
+  :class:`~repro.core.data_provider.ProviderLedger` the simulator uses
+  too (the bytes live in the provider processes, so the ledger's
   ``chunks_stored`` stays 0 and only load-aware placement degrades).
 
 Every role also serves ``ping``, ``health`` and the observability RPCs
@@ -31,14 +34,15 @@ would cost two context switches per request for no parallelism) up to a
 per-connection in-flight bound, past which the read loop stops consuming
 and TCP backpressure throttles the client — and responses return in
 completion order, matched by request id, encoded with the configured
-frame codec.  Servers bind port 0 by default
-and report the bound address in a one-line JSON ready handshake on
-stdout; SIGTERM stops accepting, drains in-flight requests, then exits.
+frame codec.  Servers bind port 0 by default and report the bound
+address in a one-line JSON ready handshake on stdout; SIGTERM stops
+accepting, drains in-flight requests, then exits.
 
 Entrypoint::
 
     python -m repro.net.server --role coordinator --index 0 \
-        --config '<flat BlobSeerConfig json>' [--journal-dir DIR]
+        --config '<flat BlobSeerConfig json>' [--journal-dir DIR] \
+        [--storage-root DIR] [--seed N]
 """
 
 from __future__ import annotations
@@ -55,10 +59,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core import errors
 from ..core.config import BlobSeerConfig
-from ..core.data_provider import DataProvider
-from ..core.provider_manager import ProviderManager, ProviderPool
+from ..core.deployment import (
+    make_data_provider,
+    make_metadata_node,
+    open_shard_journal,
+    provider_ledger,
+)
+from ..core.provider_manager import ProviderManager
 from ..core.version_manager import VersionManager
-from ..dht.store import KeyValueStore
 from ..obs import configure_observability
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
@@ -138,10 +146,10 @@ STREAM_BATCH_RECORDS = 512
 # -- role -> handler tables --------------------------------------------------------
 
 
-def provider_handlers(index: int, config: BlobSeerConfig) -> Handlers:
-    provider = DataProvider(
-        provider_id=f"provider-{index:03d}", host=f"host-{index:03d}"
-    )
+def provider_handlers(
+    index: int, config: BlobSeerConfig, storage_root: Optional[str] = None
+) -> Handlers:
+    provider = make_data_provider(index, storage_root)
 
     # put_chunk *is* the landing half of a replica push: latency and bytes
     # feed the metrics plane (the dispatch span in RpcServer covers tracing).
@@ -183,7 +191,7 @@ def provider_handlers(index: int, config: BlobSeerConfig) -> Handlers:
 
 
 def meta_handlers(index: int, config: BlobSeerConfig) -> Handlers:
-    store = KeyValueStore(provider_id=f"meta-{index:03d}")
+    store = make_metadata_node(index)
     return {
         "ping": lambda: True,
         "health": lambda: {
@@ -322,18 +330,12 @@ def coordinator_handlers(
     index: int, config: BlobSeerConfig, journal_dir: Optional[str] = None
 ) -> Handlers:
     from ..resilience.failover import fold_handoff
-    from ..resilience.journal import ShardJournal
 
     shard_id = f"vm-{index:03d}"
     manager = VersionManager()
-    journal: Optional[ShardJournal] = None
+    journal = open_shard_journal(config, journal_dir, index) if journal_dir else None
     restarted = False
-    if journal_dir:
-        journal = ShardJournal.open(
-            journal_dir,
-            shard_id=shard_id,
-            snapshot_interval=config.journal_snapshot_interval,
-        )
+    if journal is not None:
         if journal.has_history:
             restarted = True
             journal.replay_into(manager)
@@ -620,13 +622,13 @@ def standby_handlers(
     return handlers
 
 
-def pmgr_handlers(index: int, config: BlobSeerConfig) -> Handlers:
-    providers = [
-        DataProvider(provider_id=f"provider-{i:03d}", host=f"host-{i:03d}")
-        for i in range(config.num_data_providers)
-    ]
-    pool = ProviderPool(providers)
-    manager = ProviderManager(pool, config)
+def pmgr_handlers(index: int, config: BlobSeerConfig, seed: int = 0) -> Handlers:
+    pool = provider_ledger(config)
+    manager = ProviderManager(pool, config, seed=seed)
+
+    def set_provider_alive(provider_id: str, alive: bool) -> None:
+        pool.get(provider_id).alive = alive
+
     return {
         "ping": lambda: True,
         "health": lambda: {
@@ -642,9 +644,7 @@ def pmgr_handlers(index: int, config: BlobSeerConfig) -> Handlers:
         "complete": manager.complete,
         "load_snapshot": manager.load_snapshot,
         "placement_balance": manager.placement_balance,
-        "set_provider_alive": lambda provider_id, alive: (
-            pool.get(provider_id).recover() if alive else pool.get(provider_id).crash()
-        ),
+        "set_provider_alive": set_provider_alive,
     }
 
 
@@ -802,15 +802,13 @@ async def _amain(args: argparse.Namespace) -> None:
         else BlobSeerConfig()
     )
     configure_observability(config, role=f"{args.role}-{args.index:03d}")
-    factory = ROLES[args.role]
-    if args.role == "coordinator":
-        handlers = factory(args.index, config, journal_dir=args.journal_dir)
-    elif args.role == "standby":
-        handlers = factory(
-            args.index, config, journal_dir=args.journal_dir, primary=args.primary
-        )
-    else:
-        handlers = factory(args.index, config)
+    options = {
+        "provider": {"storage_root": args.storage_root},
+        "coordinator": {"journal_dir": args.journal_dir},
+        "standby": {"journal_dir": args.journal_dir, "primary": args.primary},
+        "pmgr": {"seed": args.seed},
+    }.get(args.role, {})
+    handlers = ROLES[args.role](args.index, config, **options)
     server = RpcServer(
         handlers,
         host=args.host,
@@ -859,6 +857,10 @@ def main(argv: Optional[list] = None) -> None:
         default=None,
         help="host:port of the coordinator shard a standby follows",
     )
+    parser.add_argument(
+        "--storage-root", default=None, help="persistent chunk directory (provider role)"
+    )
+    parser.add_argument("--seed", type=int, default=0, help="placement seed (pmgr role)")
     args = parser.parse_args(argv)
     try:
         asyncio.run(_amain(args))

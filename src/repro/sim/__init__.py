@@ -11,7 +11,7 @@ from .engine import Environment, Event, Process, Timeout, all_of
 from .resources import Resource, ServiceStation
 from .network import NetworkModel, SimNode
 from .metrics import MetricsCollector, OperationRecord
-from .cluster import SimProviderEntry, SimProviderPool, SimulatedBlobSeer
+from .cluster import SimulatedBlobSeer
 from .protocols import SimClient
 from .failures import FAILURE_TARGETS, FailureInjector, FailureModel, scheduled_failures
 from .driver import (
@@ -41,8 +41,6 @@ __all__ = [
     "ServiceStation",
     "SimClient",
     "SimNode",
-    "SimProviderEntry",
-    "SimProviderPool",
     "SimulatedBlobSeer",
     "Timeout",
     "WorkloadResult",

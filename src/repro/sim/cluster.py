@@ -12,96 +12,27 @@ service stations of :mod:`repro.sim.network`.
 This module builds the simulated cluster: one :class:`~repro.sim.network.SimNode`
 per process of the architecture (version manager, provider manager, data
 providers, metadata providers, clients), plus the real control-plane
-objects shared by all simulated clients.
+objects shared by all simulated clients, assembled by the same builders as
+every other deployment (:mod:`repro.core.deployment`).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..core.config import BlobSeerConfig
+from ..core.deployment import (
+    make_metadata_store,
+    make_version_coordinator,
+    simulated_provider_pool,
+)
 from ..core.provider_manager import ProviderManager
 from ..core.types import BlobInfo
-from ..core.version_coordinator import ShardedVersionManager
-from ..dht.distributed_store import DistributedKeyValueStore
 from ..resilience.scrub import AntiEntropyScrubber
 from .engine import Environment, all_of
 from .metrics import MetricsCollector
 from .network import NetworkModel, SimNode, charge_metadata_accesses
-
-
-@dataclass
-class SimProviderEntry:
-    """Bookkeeping for one simulated data provider (no payloads stored)."""
-
-    provider_id: str
-    chunks_stored: int = 0
-    bytes_stored: int = 0
-    bytes_read: int = 0
-    reads_served: int = 0
-    writes_served: int = 0
-    alive: bool = True
-    failures: int = 0
-
-    def report(self) -> Dict[str, Any]:
-        return {
-            "provider_id": self.provider_id,
-            "alive": self.alive,
-            "chunks_stored": self.chunks_stored,
-            "bytes_stored": self.bytes_stored,
-            "bytes_read": self.bytes_read,
-            "reads_served": self.reads_served,
-            "writes_served": self.writes_served,
-            "failures": self.failures,
-        }
-
-
-class SimProviderPool:
-    """Duck-typed stand-in for :class:`~repro.core.data_provider.ProviderPool`.
-
-    The provider manager only needs membership, liveness and a load signal;
-    the simulated pool tracks those without ever holding chunk payloads.
-    Providers placed in ``excluded`` stay readable but receive no new
-    allocations — the QoS feedback controller uses this to steer writes away
-    from failure-prone machines.
-    """
-
-    def __init__(self, provider_ids: List[str]) -> None:
-        self._entries: Dict[str, SimProviderEntry] = {
-            pid: SimProviderEntry(provider_id=pid) for pid in provider_ids
-        }
-        #: Providers excluded from new allocations (QoS feedback action).
-        self.excluded: set = set()
-
-    @property
-    def provider_ids(self) -> List[str]:
-        return sorted(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, provider_id: str) -> SimProviderEntry:
-        return self._entries[provider_id]
-
-    def live_provider_ids(self) -> List[str]:
-        live = sorted(
-            pid
-            for pid, e in self._entries.items()
-            if e.alive and pid not in self.excluded
-        )
-        if live:
-            return live
-        # If feedback excluded everything that is alive, fall back to liveness
-        # only — excluding all providers must never wedge the system.
-        return sorted(pid for pid, e in self._entries.items() if e.alive)
-
-    def reports(self) -> List[Dict[str, Any]]:
-        return [entry.report() for entry in self._entries.values()]
-
-    def total_bytes_stored(self) -> int:
-        return sum(e.bytes_stored for e in self._entries.values() if e.alive)
 
 
 class SimulatedBlobSeer:
@@ -120,28 +51,14 @@ class SimulatedBlobSeer:
         self.metrics = MetricsCollector()
 
         # -- real control plane -------------------------------------------------
-        self.version_manager = ShardedVersionManager(
-            num_shards=self.config.num_version_managers,
-            virtual_nodes=self.config.dht_virtual_nodes,
-        )
+        self.version_manager = make_version_coordinator(self.config)
         #: Per-shard write-ahead journals (durability subsystem), when on.
-        self.journals = None
-        if self.config.journal_enabled:
-            self.journals = self.version_manager.enable_durability(
-                snapshot_interval=self.config.journal_snapshot_interval,
-                failover=self.config.shard_failover,
-            )
-        data_ids = [f"provider-{i:03d}" for i in range(self.config.num_data_providers)]
-        meta_ids = [f"meta-{i:03d}" for i in range(self.config.num_metadata_providers)]
-        self.provider_pool = SimProviderPool(data_ids)
-        self.provider_manager = ProviderManager(
-            pool=self.provider_pool, config=self.config, seed=seed
-        )
-        self.metadata_store = DistributedKeyValueStore(
-            provider_ids=meta_ids,
-            virtual_nodes=self.config.dht_virtual_nodes,
-            replication=self.config.metadata_replication,
-        )
+        self.journals = self.version_manager.journals
+        self.provider_pool = simulated_provider_pool(self.config)
+        self.provider_manager = ProviderManager(self.provider_pool, self.config, seed=seed)
+        self.metadata_store = make_metadata_store(self.config)
+        data_ids = self.provider_pool.provider_ids
+        meta_ids = list(self.metadata_store.provider_ids)
 
         # -- simulated machines ----------------------------------------------------
         #: One machine per version-coordinator shard; commit RPCs are charged
@@ -170,9 +87,7 @@ class SimulatedBlobSeer:
         #: The anti-entropy scrubber's own machine (it is a service daemon,
         #: not a client: digest and repair traffic is charged to its NIC).
         self.scrub_node = SimNode(self.env, "scrubber", self.model, role="scrubber")
-        self.scrubber = AntiEntropyScrubber(
-            self.metadata_store, batch_size=self.config.scrub_batch_size
-        )
+        self.scrubber = AntiEntropyScrubber(self.metadata_store)
         self._client_count = 0
         #: Event log of failure injections: (time, action, node_id).
         self.failure_log: List[Tuple[float, str, str]] = []
@@ -191,11 +106,6 @@ class SimulatedBlobSeer:
         self.avoid_vm_shards: set = set()
 
     # -- version-coordinator routing ------------------------------------------------
-    @property
-    def version_manager_node(self) -> SimNode:
-        """The first coordinator shard's machine (single-shard compatibility)."""
-        return self.version_manager_nodes[0]
-
     def version_node_for(self, blob_id: int) -> SimNode:
         """The simulated machine currently *serving* ``blob_id``.
 
@@ -381,12 +291,12 @@ class SimulatedBlobSeer:
     def start_scrubber(
         self,
         horizon: float,
-        interval: Optional[float] = None,
+        interval: float,
         initial_delay: Optional[float] = None,
-        max_batches_per_tick: Optional[int] = None,
-        backpressure_rpc_rate: Optional[float] = None,
+        max_batches_per_tick: int = 0,
+        backpressure_rpc_rate: float = 0.0,
     ) -> None:
-        """Run periodic anti-entropy ticks until ``horizon`` sim-seconds.
+        """Run anti-entropy ticks every ``interval`` until ``horizon`` sim-seconds.
 
         Each tick executes the real scrub logic instantaneously in
         control-plane terms, then charges simulated time for what it did:
@@ -395,26 +305,19 @@ class SimulatedBlobSeer:
         (recorded through the store's access hook, replayed from the
         scrubber's own machine).
 
-        Pacing: with ``max_batches_per_tick`` (default
-        ``config.scrub_max_batches_per_tick``; 0 = unlimited) a tick
+        Pacing: with ``max_batches_per_tick`` (0 = unlimited) a tick
         advances the ring walk by at most that many batches — the scrubber
         persists its cursor, so a large ring is covered incrementally
         across ticks instead of in one burst.  With
-        ``backpressure_rpc_rate`` (default
-        ``config.scrub_backpressure_rpc_rate``; 0 = off) a tick is
-        *skipped* whenever the clients' metadata RPC rate over the last
-        window exceeded the threshold — scrubbing yields to foreground
-        load and resumes where it left off once the window quietens.
+        ``backpressure_rpc_rate`` (0 = off) a tick is *skipped* whenever
+        the clients' metadata RPC rate over the last window exceeded the
+        threshold — scrubbing yields to foreground load and resumes where
+        it left off once the window quietens.
         """
-        interval = interval if interval is not None else self.config.scrub_interval
         if interval <= 0:
             raise ValueError("scrub interval must be > 0 to start the scrubber")
         delay = initial_delay if initial_delay is not None else interval
-        if max_batches_per_tick is None:
-            max_batches_per_tick = self.config.scrub_max_batches_per_tick
         batch_cap = max_batches_per_tick if max_batches_per_tick > 0 else None
-        if backpressure_rpc_rate is None:
-            backpressure_rpc_rate = self.config.scrub_backpressure_rpc_rate
 
         def loop() -> Iterator:
             last_rounds = self.metadata_rounds
@@ -486,12 +389,6 @@ class SimulatedBlobSeer:
             self.metadata_store.access_hook = previous
 
     # -- reporting -------------------------------------------------------------------------------
-    def node_reports(self) -> List[Dict[str, Any]]:
-        nodes = [*self.version_manager_nodes, self.provider_manager_node]
-        nodes.extend(self.data_nodes.values())
-        nodes.extend(self.meta_nodes.values())
-        return [node.report() for node in nodes]
-
     def metadata_load(self) -> Dict[str, int]:
         """Entries per metadata provider — shows how well the DHT spreads load."""
         return self.metadata_store.load_per_provider()

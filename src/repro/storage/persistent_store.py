@@ -25,10 +25,6 @@ from .memory_store import ChunkStore
 _HEADER = struct.Struct(">QQQQ")  # blob_id, write_id, offset, payload length
 
 
-def _key_to_tuple(key: ChunkKey) -> Tuple[int, int, int]:
-    return (key.blob_id, key.write_id, key.offset)
-
-
 class PersistentChunkStore(ChunkStore):
     """Append-only, file-backed chunk store.
 

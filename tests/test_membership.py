@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import BlobSeerConfig
 from repro.core.deployment import BlobSeerDeployment
-from repro.core.errors import EpochRetryError, InvalidConfigError, ServiceError
+from repro.core.errors import EpochRetryError, ServiceError
 from repro.core.membership import CoordinatorMembership, ShardStatus
 from repro.core.version_coordinator import MIGRATION_BATCH_BLOBS, ShardedVersionManager
 from repro.core.version_manager import VersionManager
@@ -959,24 +959,3 @@ class TestScrubPacing:
         assert tick.completed_pass.keys_scanned == len(
             cluster.metadata_store.scan_keys()
         )
-
-
-# ---------------------------------------------------------------------------
-# Config plumbing for the new knobs
-# ---------------------------------------------------------------------------
-
-
-class TestConfigKnobs:
-    def test_roundtrip_includes_new_fields(self):
-        config = BlobSeerConfig(
-            scrub_max_batches_per_tick=3,
-            scrub_backpressure_rpc_rate=100.0,
-        )
-        restored = BlobSeerConfig.from_dict(config.to_dict())
-        assert restored == config
-
-    def test_validation_rejects_bad_values(self):
-        with pytest.raises(InvalidConfigError):
-            BlobSeerConfig(scrub_max_batches_per_tick=-1)
-        with pytest.raises(InvalidConfigError):
-            BlobSeerConfig(scrub_backpressure_rpc_rate=-1.0)

@@ -854,7 +854,6 @@ class TestSimulatedDurability:
                 num_metadata_providers=5,
                 metadata_replication=3,
                 chunk_size=4096,
-                scrub_interval=0.5,
             )
         )
         blob = cluster.create_blob()
@@ -862,7 +861,7 @@ class TestSimulatedDurability:
         cluster.crash_metadata_provider("meta-001")
         cluster.recover_metadata_provider("meta-001", lose_data=True)
         rounds_before = cluster.metadata_rounds
-        cluster.start_scrubber(horizon=2.0)
+        cluster.start_scrubber(horizon=2.0, interval=0.5)
         cluster.run()
         assert not cluster.scrubber.under_replicated()
         assert cluster.scrubber.total_repairs + cluster.metadata_store.store_of(

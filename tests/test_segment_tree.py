@@ -89,6 +89,33 @@ class TestGeometry:
         # upto caps the search
         assert latest_version_touching(history, Interval(0, 16), 2) == 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        writes=st.lists(
+            st.tuples(st.integers(0, 255), st.integers(1, 64), st.booleans()),
+            min_size=1,
+            max_size=40,
+        ),
+        start=st.integers(0, 320),
+        size=st.integers(1, 128),
+        upto=st.integers(0, 45),
+    )
+    def test_newest_first_scan_matches_forward_scan(self, writes, start, size, upto):
+        # A random history built by the coordinator's rule: versions dense
+        # from 1, appends land at the current size, sizes never shrink.
+        history, current = [], 0
+        for version, (offset, length, append) in enumerate(writes, start=1):
+            offset = current if append else offset
+            current = max(current, offset + length)
+            history.append(WriteRecord(version, offset, length, current))
+        node_range = Interval(start, start + size)
+        # Reference: the forward scan keeping the newest overlapping version.
+        expected = None
+        for record in history:
+            if record.version <= upto and record.interval.overlaps(node_range):
+                expected = record.version if expected is None else max(expected, record.version)
+        assert latest_version_touching(history, node_range, upto) == expected
+
     def test_nodes_created_matches_builder(self):
         store = make_store()
         builder = SegmentTreeBuilder(store, CS)

@@ -266,7 +266,6 @@ class TestBulkRounds:
 
 class TestShardedCoordinator:
     def test_version_manager_is_a_coordinator(self):
-        assert isinstance(VersionManager(), VersionCoordinator)
         assert isinstance(ShardedVersionManager(num_shards=4), VersionCoordinator)
 
     def test_routing_is_stable_and_deterministic(self):
