@@ -52,7 +52,6 @@ from ..obs import trace as obs_trace
 from .chunking import reassemble, split_payload
 from .config import ClientConfig
 from .errors import (
-    EpochRetryError,
     InvalidRangeError,
     ReplicationError,
     ServiceError,
@@ -190,6 +189,11 @@ class BlobSeerClient:
             "metadata_levels_fetched": 0,
             "metadata_put_rounds": 0,
         }
+        #: ``BlobInfo`` per blob id this client has seen.  No invalidation
+        #: and no lock: the parameters are fixed at creation, ids are never
+        #: reused, nothing deletes a blob (``drop_blob`` only moves one
+        #: between coordinator shards), so racing fetches store equal values.
+        self._blob_infos: Dict[BlobId, BlobInfo] = {}
 
     # -- blob lifecycle --------------------------------------------------------------
     def create_blob(
@@ -197,12 +201,20 @@ class BlobSeerClient:
     ) -> "Blob":
         """Create a new empty blob and return a handle on it."""
         info = self._deployment.create_blob(chunk_size=chunk_size, replication=replication)
+        self._blob_infos[info.blob_id] = info
         return Blob(client=self, info=info)
 
     def open_blob(self, blob_id: BlobId) -> "Blob":
         """Open an existing blob by id."""
-        info = self._deployment.version_manager.blob_info(blob_id)
-        return Blob(client=self, info=info)
+        return Blob(client=self, info=self._blob_info(blob_id))
+
+    def _blob_info(self, blob_id: BlobId) -> BlobInfo:
+        """``blob_id``'s creation-time parameters (asked once, then cached)."""
+        info = self._blob_infos.get(blob_id)
+        if info is None:
+            info = self._deployment.version_manager.blob_info(blob_id)
+            self._blob_infos[blob_id] = info
+        return info
 
     def list_blobs(self) -> List[BlobId]:
         return self._deployment.version_manager.blob_ids()
@@ -254,9 +266,9 @@ class BlobSeerClient:
            their snapshot and walk the metadata tree;
         2. the data plane: chunk pushes of every write/append and fragment
            fetches of every read, all fanned out together;
-        3. version assignment for writes, in submission order, batched into
-           one serialised round per coordinator *shard* (the only
-           serialised step), the shards' rounds fanned out in parallel;
+        3. version assignment for writes, in submission order, in one
+           coordinator call that runs one serialised round per owning shard
+           (the only serialised step);
         4. metadata weaving for all new snapshots, DHT traffic overlapped;
         5. publication in assignment order, one ``publish_many`` round per
            (blob, shard).
@@ -370,7 +382,7 @@ class BlobSeerClient:
                             for f in fragments
                         ]
                     else:
-                        p.info = vm.blob_info(op.blob_id)
+                        p.info = self._blob_info(op.blob_id)
                         if isinstance(op, AppendOp):
                             # The append offset is assigned atomically with the
                             # version, so the ticket has to come first (documented
@@ -446,30 +458,6 @@ class BlobSeerClient:
                         chunk_offset=0,
                     )
                 )
-        # Confirm every op's placement concurrently: completes of different
-        # plans never conflict, and in networked mode the RPCs pipeline
-        # over the shared provider-manager connection instead of paying one
-        # sequential round trip per op.  The drain-around keeps each op's
-        # socket time attributed to it (zeros on Direct).
-        completes = [p for p in pending if p.plan is not None]
-        pm = self._deployment.provider_manager
-        # parallel_map workers don't inherit this thread's contextvars:
-        # re-activate the batch context inside the closure so the RPCs the
-        # completes issue still carry the trace envelope.
-        batch_ctx = obs_trace.current_context()
-
-        def complete_one(plan):
-            with obs_trace.activate(batch_ctx):
-                transport.take_net_timings()
-                pm.complete(plan)
-                return transport.take_net_timings()
-
-        for p, net in zip(
-            completes,
-            parallel_map([(lambda p=p: complete_one(p.plan)) for p in completes]),
-        ):
-            p.add_net(net)
-
         payloads: Dict[int, Dict[ChunkKey, bytes]] = {}
         for outcome in fetch_outcomes:
             p = pending[outcome.job.op_index]
@@ -522,86 +510,34 @@ class BlobSeerClient:
                 finally:
                     p.add_net(transport.take_net_timings())
                 p.needs_repair = True
-        # Writes register in submission order.  Blobs are grouped by their
-        # owning coordinator shard, so the serialised step is one bulk round
-        # per *shard* — and the rounds of different shards, holding different
-        # locks on different machines, fan out in parallel.
+        # Writes register in submission order, in one call: the coordinator
+        # groups the specs by owning shard, runs one serialised round per
+        # shard, absorbs membership epoch races, and reports an unreachable
+        # shard as a per-write error while the other shards' tickets return.
         groups: Dict[BlobId, List[_Pending]] = {}
         for p in pending:
             if isinstance(p.op, WriteOp) and not p.failed:
                 groups.setdefault(p.op.blob_id, []).append(p)
         if not groups:
             return
-        shard_batches: Dict[int, List[Tuple[BlobId, List[_Pending]]]] = {}
-        shard_epochs: Dict[int, int] = {}
-        for blob_id, group in groups.items():
-            shard, epoch = vm.route(blob_id)
-            shard_batches.setdefault(shard, []).append((blob_id, group))
-            shard_epochs[shard] = epoch
-        calls: List[ControlCall] = []
-        call_groups: List[List[Tuple[BlobId, List[_Pending]]]] = []
-        for shard, batches in sorted(shard_batches.items()):
-            specs = [
-                (blob_id, [(p.op.offset, len(p.op.data)) for p in group])
-                for blob_id, group in batches
-            ]
-            def register(specs=specs, epoch=shard_epochs[shard]):
-                # An unreachable shard must fail only *its* round, not the
-                # batch: sibling shards' rounds carry on (per-op failure
-                # isolation, PR 1 contract) and no version is assigned on
-                # the dead shard (register_writes_bulk resolves the serving
-                # manager before assigning anything).  A registration that
-                # raced a shard add/remove is rejected with a *stale epoch*
-                # before any version exists — re-routed under the new
-                # membership and reissued, never dropped (and never
-                # double-assigned: the rejection precedes all assignment).
-                for _ in range(8):
-                    try:
-                        return vm.register_writes_bulk(
-                            specs, writer=self.client_id, epoch=epoch
-                        )
-                    except EpochRetryError:
-                        wait = getattr(
-                            getattr(vm, "membership", None), "wait_stable", None
-                        )
-                        if wait is not None:
-                            wait(timeout=0.25)
-                        epoch = getattr(vm, "epoch", None)
-                    except ServiceError as exc:
-                        return exc
-                return ServiceError(
-                    "registration kept racing membership epoch changes"
-                )
-
-            calls.append(
-                ControlCall(
-                    fn=register,
-                    # The round is shared by several ops: trace it under the
-                    # batch span (transport workers re-activate it).
-                    trace=obs_trace.current_context(),
-                )
-            )
-            call_groups.append(batches)
-        for batches, (shard_outcomes, _, net) in zip(
-            call_groups, transport.control_many_timed(calls)
-        ):
-            # The shard round is shared: every op it carried waited on the
-            # same sockets, so each op's timing includes the round's
-            # breakdown (like transfer_seconds, not summable across ops).
-            for _, group in batches:
-                for p in group:
-                    p.add_net(net)
-            if isinstance(shard_outcomes, ServiceError):
-                for _, group in batches:
-                    for p in group:
-                        self._fail(p, shard_outcomes)
-                continue
-            for (_, group), outcomes in zip(batches, shard_outcomes):
-                for p, outcome in zip(group, outcomes):
-                    if isinstance(outcome, Exception):
-                        self._fail(p, outcome)
-                    else:
-                        p.ticket = outcome
+        specs = [
+            (blob_id, [(p.op.offset, len(p.op.data)) for p in group])
+            for blob_id, group in groups.items()
+        ]
+        outcomes = transport.control(
+            lambda: vm.register_writes_bulk(specs, writer=self.client_id)
+        )
+        # The round is shared: every op it carried waited on the same
+        # sockets, so each op's timing includes the round's breakdown (like
+        # transfer_seconds, not summable across ops).
+        net = transport.take_net_timings()
+        for group, blob_outcomes in zip(groups.values(), outcomes):
+            for p, outcome in zip(group, blob_outcomes):
+                p.add_net(net)
+                if isinstance(outcome, Exception):
+                    self._fail(p, outcome)
+                else:
+                    p.ticket = outcome
 
     # -- phases 4-5: weave metadata, publish ---------------------------------------------------
     def _phase_weave_and_publish(self, pending: List[_Pending]) -> None:
@@ -833,7 +769,7 @@ class BlobSeerClient:
     def _build_repair(self, blob_id: BlobId, version: Version) -> None:
         """Install no-op metadata for an aborted version (tree building only)."""
         vm = self._deployment.version_manager
-        info = vm.blob_info(blob_id)
+        info = self._blob_info(blob_id)
         history = vm.get_history(blob_id, version)
         record = history[version - 1]
         builder = SegmentTreeBuilder(self._metadata, info.chunk_size)

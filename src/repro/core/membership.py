@@ -64,7 +64,7 @@ def _blob_key(blob_id: BlobId) -> Tuple[str, BlobId]:
 class CoordinatorMembership:
     """Epoch-versioned shard set + consistent-hash routing for blobs.
 
-    All reads (:meth:`owner_index`, :meth:`route`, :meth:`status_of`) and
+    All reads (:meth:`owner_index`, :meth:`status_of`) and
     the transition protocol are serialised on one internal lock; waiting
     for a transition to finish (:meth:`wait_stable`) uses the paired
     condition, which :meth:`commit_transition` notifies.
@@ -169,18 +169,6 @@ class CoordinatorMembership:
         """Slot index of the shard owning ``blob_id`` under the current epoch."""
         with self._lock:
             return self._index_of[self._ring.owner(_blob_key(blob_id))]
-
-    def route(self, blob_id: BlobId) -> Tuple[int, int]:
-        """Atomically resolve ``(owner index, epoch)`` for one blob.
-
-        The pair is what an epoch-aware caller holds on to: a later commit
-        presented together with this epoch is either consistent with the
-        routing it was computed under, or rejected with
-        :class:`EpochRetryError` and re-routed — never silently applied to
-        a shard that no longer owns the blob.
-        """
-        with self._lock:
-            return self._index_of[self._ring.owner(_blob_key(blob_id))], self.epoch
 
     def pending_owner_index(self, blob_id: BlobId) -> int:
         """Owner under the in-flight transition's ring (migration targets)."""
@@ -291,16 +279,6 @@ class CoordinatorMembership:
             )
 
     # -- the commit guard -----------------------------------------------------------
-    def check_epoch(self, epoch: int) -> None:
-        """Reject a request routed under a different epoch (retryable)."""
-        with self._lock:
-            if epoch != self.epoch:
-                raise EpochRetryError(
-                    f"request routed at epoch {epoch} but membership is at "
-                    f"epoch {self.epoch}; re-route and retry",
-                    epoch=self.epoch,
-                )
-
     def check_commit(self, blob_ids: Iterable[BlobId], epoch: Optional[int]) -> None:
         """The guard every commit-path shard call runs under its shard lock.
 

@@ -41,6 +41,7 @@ without reading each other's (possibly not yet written) metadata.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -203,6 +204,7 @@ class SegmentTreeBuilder:
         self.put_rounds = 0
 
         fragments = sorted(new_fragments, key=lambda f: f.blob_offset)
+        starts = [f.blob_offset for f in fragments]
 
         # Only partially written leaves need base-snapshot content.
         base_leaves = self._base_leaves(
@@ -213,10 +215,14 @@ class SegmentTreeBuilder:
             node_iv = Interval.of(key.offset, key.size)
             written_part = node_iv.intersection(write_interval)
             pieces: List[Fragment] = []
-            for frag in fragments:
-                clipped = frag.clip(written_part)
+            # The fragments tile the write in offset order: clip only the
+            # run from the last one starting at or before this leaf's part.
+            index = max(0, bisect_right(starts, written_part.start) - 1)
+            while index < len(fragments) and starts[index] < written_part.end:
+                clipped = fragments[index].clip(written_part)
                 if clipped is not None:
                     pieces.append(clipped)
+                index += 1
             # Parts of the leaf range not covered by this write keep whatever
             # the base snapshot exposed there (metadata-only merge, no data
             # copied).

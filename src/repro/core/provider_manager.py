@@ -14,8 +14,13 @@ Three strategies are provided:
 ``random``
     Uniformly random providers (seeded, so experiments are reproducible).
 ``load_aware``
-    Chunks go to the providers with the least stored + pending bytes,
-    spreading hot-spot load when providers are heterogeneous.
+    Chunks go to the least-loaded providers, spreading hot-spot load when
+    providers are heterogeneous.  A provider's load is the larger of two
+    lower bounds on what it holds or is about to hold: the chunks it
+    reports stored (which misses pushes still in flight, and stays 0 on
+    the networked ``pmgr`` ledger) and the chunks this manager placed on it
+    (which misses chunks stored before the manager saw them, such as a
+    preload).  Writers never report back, exactly as in the paper.
 
 Every allocation also hands out a globally unique ``write_id`` used to name
 the chunks of that write, so data can be pushed to providers before the
@@ -99,7 +104,7 @@ class RandomStrategy(PlacementStrategy):
 
 
 class LoadAwareStrategy(PlacementStrategy):
-    """Least-loaded-first placement using stored + pending bytes."""
+    """Least-loaded-first placement over the manager's per-provider load."""
 
     def select(
         self,
@@ -154,8 +159,8 @@ class ProviderManager:
         self._strategy = strategy or make_strategy(config.placement_strategy, seed=seed)
         self._lock = threading.Lock()
         self._next_write_id = 1
-        #: pending chunk allocations per provider (decremented on completion)
-        self._pending: Dict[str, int] = {pid: 0 for pid in pool.provider_ids}
+        #: chunk replicas ever placed per provider (never decremented)
+        self._placed: Dict[str, int] = {pid: 0 for pid in pool.provider_ids}
         self.allocations = 0
 
     @property
@@ -192,7 +197,7 @@ class ProviderManager:
             self._next_write_id += 1
             for replicas in placements:
                 for pid in replicas:
-                    self._pending[pid] = self._pending.get(pid, 0) + 1
+                    self._placed[pid] = self._placed.get(pid, 0) + 1
             self.allocations += 1
 
         plan = WritePlan(
@@ -204,26 +209,17 @@ class ProviderManager:
         )
         return write_id, plan
 
-    def complete(self, plan: WritePlan) -> None:
-        """Signal that the chunks of ``plan`` have been stored (or abandoned)."""
-        with self._lock:
-            for _, replicas in plan.placements:
-                for pid in replicas:
-                    if self._pending.get(pid, 0) > 0:
-                        self._pending[pid] -= 1
-
     # -- load tracking ---------------------------------------------------------------
     def _current_load(self, live: Sequence[str]) -> Dict[str, int]:
-        load: Dict[str, int] = {}
         with self._lock:
-            pending = dict(self._pending)
-        for pid in live:
-            provider = self._pool.get(pid)
-            load[pid] = provider.chunks_stored + pending.get(pid, 0)
-        return load
+            placed = dict(self._placed)
+        return {
+            pid: max(self._pool.get(pid).chunks_stored, placed.get(pid, 0))
+            for pid in live
+        }
 
     def load_snapshot(self) -> Dict[str, int]:
-        """Current (stored + pending) chunk count per live provider."""
+        """Current ``max(stored, placed)`` chunk count per live provider."""
         return self._current_load(self._pool.live_provider_ids())
 
     def placement_balance(self) -> float:

@@ -34,7 +34,7 @@ T = TypeVar("T")
 
 @dataclass(frozen=True, slots=True)
 class ControlCall:
-    """One control-plane round of a batch (a bulk register or a publish).
+    """One control-plane round of a batch (a publish).
 
     ``trace`` (optional) is the :class:`~repro.obs.trace.TraceContext` this
     round belongs to.  Transports run ``fn`` on pool workers where the
@@ -173,7 +173,7 @@ class Transport:
     ) -> List[Tuple[Any, float, Tuple[float, float, float]]]:
         """Execute independent control rounds concurrently.
 
-        The batch engine fans a batch's per-shard commit rounds out with
+        The batch engine fans a batch's per-blob publish rounds out with
         this: rounds to different shards hold different locks, so running
         them on pool workers is real parallelism.  Returns
         ``(result, completed_at, (connect, send, wait))`` per call, in call

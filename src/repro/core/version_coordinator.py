@@ -14,13 +14,13 @@ This module removes that last global serialisation point:
 * :class:`VersionCoordinator` names the protocol every layer above is
   written against — the full version-manager surface plus a *routing*
   surface (:attr:`~VersionCoordinator.num_shards`,
-  :meth:`~VersionCoordinator.shard_index`, :meth:`~VersionCoordinator.route`).
+  :attr:`~VersionCoordinator.epoch`, :meth:`~VersionCoordinator.shard_index`).
   A plain ``VersionManager`` is the degenerate single-shard implementation.
 * :class:`ShardedVersionManager` routes blobs to one of N version-manager
   shards through a first-class :class:`~repro.core.membership.
   CoordinatorMembership` — an epoch-numbered consistent-hash ring with a
   per-shard status, the single source of truth every consumer (failover,
-  placement steering, the client batch engine, the simulators) reads.
+  placement steering, the simulators) reads.
   Each shard owns its own lock, write history, publication frontier and
   counters, so commits of blobs on different shards never contend.
   Per-blob semantics are untouched: one blob always lives on one shard,
@@ -55,6 +55,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union, runti
 from .config import DEFAULT_CHUNK_SIZE
 from .errors import (
     BlobNotFoundError,
+    BlobSeerError,
     EpochRetryError,
     InvalidConfigError,
     ServiceError,
@@ -76,10 +77,11 @@ class VersionCoordinator(Protocol):
 
     Implemented by :class:`ShardedVersionManager`, which routes each blob
     to one of its :class:`~repro.core.version_manager.VersionManager`
-    shards.  Callers that want to charge a request to the right simulated
-    machine — or group a batch's serialised rounds — ask
-    :meth:`shard_index` who owns a blob; epoch-aware callers use
-    :meth:`route` to pin (shard, epoch) pairs; everything else is the
+    shards, and by the networked
+    :class:`~repro.net.proxies.RemoteCoordinator`.  Callers never route:
+    :meth:`register_writes_bulk` takes a whole batch, groups it by shard
+    and absorbs membership epoch races itself.  Monitoring and placement
+    ask :meth:`shard_index` who owns a blob; everything else is the
     familiar version-manager API.
     """
 
@@ -89,8 +91,6 @@ class VersionCoordinator(Protocol):
     @property
     def epoch(self) -> int: ...
     def shard_index(self, blob_id: BlobId) -> int: ...
-    def active_shard_index(self, blob_id: BlobId) -> int: ...
-    def route(self, blob_id: BlobId) -> Tuple[int, int]: ...
 
     # blob lifecycle
     def create_blob(
@@ -117,7 +117,6 @@ class VersionCoordinator(Protocol):
         self,
         batches: Sequence[Tuple[BlobId, Sequence[Tuple[int, int]]]],
         writer: Optional[str] = None,
-        epoch: Optional[int] = None,
     ) -> List[List[Union[WriteTicket, Exception]]]: ...
     def register_append(
         self, blob_id: BlobId, size: int, writer: Optional[str] = None
@@ -212,10 +211,6 @@ class ShardedVersionManager:
     def shard_index(self, blob_id: BlobId) -> int:
         """Index of the shard owning ``blob_id`` (stable across processes)."""
         return self.membership.owner_index(blob_id)
-
-    def route(self, blob_id: BlobId) -> Tuple[int, int]:
-        """Atomically resolve ``(owning shard, membership epoch)``."""
-        return self.membership.route(blob_id)
 
     def successor_index(self, index: int) -> int:
         """Ring successor of shard ``index`` — where its standby is hosted."""
@@ -319,8 +314,10 @@ class ShardedVersionManager:
         """
         attempts = 0
         while True:
-            index, epoch = self.membership.route(blob_id)
-            manager = self._serving_shard(index)
+            # Epoch first: an owner computed under a newer ring is then
+            # caught as stale by the guard (or the not-found check below).
+            epoch = self.membership.epoch
+            manager = self._serving_shard(self.shard_index(blob_id))
             guard = None
             if mutating:
                 def guard(blob_id=blob_id, epoch=epoch):
@@ -1027,33 +1024,30 @@ class ShardedVersionManager:
         self,
         batches: Sequence[Tuple[BlobId, Sequence[Tuple[int, int]]]],
         writer: Optional[str] = None,
-        epoch: Optional[int] = None,
     ) -> List[List[Union[WriteTicket, Exception]]]:
         """Bulk-register, routing each blob's specs to its owning shard.
 
-        Callers that already grouped by shard (the batch engine) hand in
-        single-shard batches and pay exactly one serialised round; mixed
-        batches still work — each shard involved takes one round.  Result
-        lists stay aligned with ``batches``.  An unknown blob id fails its
-        shard's round before that shard assigns any version; rounds on
-        *other* shards are independent serialisation domains and may have
-        completed already (there is deliberately no cross-shard
-        transaction).  An *unreachable* shard (down with no failover path)
-        fails the whole call before any shard assigns a version.
+        Each shard involved takes one serialised round; result lists stay
+        aligned with ``batches``.  Shards are independent serialisation
+        domains (there is deliberately no cross-shard transaction), so a
+        shard's failure is confined to its own writes: a shard that cannot
+        be reached (down with no failover path), or whose round fails (an
+        unknown blob id), assigns nothing and reports the error as the
+        outcome of each of its writes, while the other shards' tickets
+        return.
 
-        Epoch protocol: a caller that routed the batch itself passes the
-        ``epoch`` it routed at — if membership moved on since, the call is
-        rejected with :class:`EpochRetryError` *before anything is
-        assigned*, so retrying the whole batch is safe.  Internally, each
-        shard's round runs under a commit guard; a round that loses a race
-        with a shard add/remove is re-routed against the new ring and
+        Each shard's round runs under a commit guard; a round that loses a
+        race with a shard add/remove is re-routed against the new ring and
         reissued (only the affected shard's round — its guard guarantees it
         assigned nothing), so a migration never loses or double-assigns a
         registration.
         """
-        if epoch is not None:
-            self.membership.check_epoch(epoch)
         results: List[List[Union[WriteTicket, Exception]]] = [[] for _ in batches]
+
+        def fail(positions: Sequence[int], exc: Exception) -> None:
+            for position in positions:
+                results[position] = [exc] * len(batches[position][1])
+
         pending = list(range(len(batches)))
         attempts = 0
         while pending:
@@ -1061,18 +1055,7 @@ class ShardedVersionManager:
             by_shard: Dict[int, List[int]] = {}
             for position in pending:
                 blob_id = batches[position][0]
-                by_shard.setdefault(self.membership.owner_index(blob_id), []).append(
-                    position
-                )
-            # Resolve every involved shard's serving manager *before*
-            # assigning anything: an unreachable shard (down with no
-            # failover path) must fail the call while zero versions exist,
-            # not after sibling shards already assigned tickets nobody will
-            # ever weave or abort.
-            serving = {
-                shard_index: self._serving_shard(shard_index)
-                for shard_index in by_shard
-            }
+                by_shard.setdefault(self.shard_index(blob_id), []).append(position)
             retry: List[int] = []
             for shard_index, positions in by_shard.items():
                 blob_ids = tuple(batches[position][0] for position in positions)
@@ -1081,7 +1064,9 @@ class ShardedVersionManager:
                     self.membership.check_commit(blob_ids, routing_epoch)
 
                 try:
-                    shard_results = serving[shard_index].register_writes_bulk(
+                    shard_results = self._serving_shard(
+                        shard_index
+                    ).register_writes_bulk(
                         [batches[position] for position in positions],
                         writer=writer,
                         guard=guard,
@@ -1089,15 +1074,22 @@ class ShardedVersionManager:
                 except EpochRetryError:
                     retry.extend(positions)
                     continue
+                except BlobSeerError as exc:
+                    fail(positions, exc)
+                    continue
                 for position, outcome in zip(positions, shard_results):
                     results[position] = outcome
             if retry:
                 attempts += 1
                 if attempts >= MAX_ROUTE_RETRIES:
-                    raise ServiceError(
-                        "membership would not stabilise; "
-                        f"{len(retry)} registration batches kept racing epochs"
+                    fail(
+                        retry,
+                        ServiceError(
+                            "membership would not stabilise; "
+                            f"{len(retry)} registration batches kept racing epochs"
+                        ),
                     )
+                    break
                 self.membership.wait_stable(timeout=0.25)
             pending = retry
         return results

@@ -196,15 +196,14 @@ class VersionManager:
         self,
         batches: Sequence[Tuple[BlobId, Sequence[Tuple[int, int]]]],
         writer: Optional[str] = None,
-        epoch: Optional[int] = None,
         guard: Optional[Callable[[], None]] = None,
     ) -> List[List[Union[WriteTicket, Exception]]]:
         """Register the writes of several blobs in one serialised round.
 
-        This is the per-shard bulk form the batch engine uses: all blobs of
-        a batch owned by one coordinator shard take their version
-        assignments under a single lock acquisition — one round trip per
-        *shard*, not per blob or per operation.  Results are aligned with
+        This is the per-shard round the sharded coordinator runs for a
+        batch: all blobs of a batch owned by one coordinator shard take
+        their version assignments under a single lock acquisition — one
+        round trip per *shard*, not per blob or per operation.  Results are aligned with
         ``batches``: one ticket-or-exception list per (blob, specs) entry,
         in spec order.  An unknown blob id fails the round *before* any
         version is assigned (all-or-nothing) — otherwise the earlier
@@ -215,11 +214,8 @@ class VersionManager:
         ``guard`` (set by the sharded coordinator's router) runs under the
         commit lock before anything is assigned; it raises the retryable
         :class:`~repro.core.errors.EpochRetryError` when the membership
-        epoch moved or a blob of the round is mid-migration.  ``epoch`` is
-        accepted for protocol parity (a lone shard's membership never
-        changes, so there is nothing to compare against).
+        epoch moved or a blob of the round is mid-migration.
         """
-        del epoch  # a single manager has no membership to be stale against
         results: List[List[Union[WriteTicket, Exception]]] = []
         with self._lock:
             if guard is not None:

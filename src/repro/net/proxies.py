@@ -30,7 +30,7 @@ import uuid
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.config import DEFAULT_CHUNK_SIZE
-from ..core.errors import EpochRetryError, ServiceError
+from ..core.errors import BlobSeerError, EpochRetryError, ServiceError
 from ..core.membership import CoordinatorMembership, ShardStatus
 from ..core.types import BlobId, BlobInfo, SnapshotInfo, Version, WritePlan
 from ..core.version_manager import WriteState
@@ -245,12 +245,6 @@ class RemoteCoordinator:
     def shard_index(self, blob_id: BlobId) -> int:
         return self.membership.owner_index(blob_id)
 
-    def route(self, blob_id: BlobId) -> Tuple[int, int]:
-        return self.membership.route(blob_id)
-
-    def active_shard_index(self, blob_id: BlobId) -> int:
-        return self.shard_index(blob_id)
-
     # -- blob-id allocation (shard 0 hosts the counter) ----------------------------
     def _alloc_blob_id(self) -> BlobId:
         with self._id_lock:
@@ -320,7 +314,6 @@ class RemoteCoordinator:
         blob_id: BlobId,
         size: int,
         writer: Optional[str] = None,
-        guard=None,
     ):
         return self._call_routed(
             blob_id,
@@ -333,40 +326,39 @@ class RemoteCoordinator:
         self,
         batches: Sequence[Tuple[BlobId, Sequence[Tuple[int, int]]]],
         writer: Optional[str] = None,
-        epoch: Optional[int] = None,
-        guard=None,
     ) -> List[List[Any]]:
         """One RPC per owning shard, all shards in flight at once; results
         realigned to input order.
 
-        ``epoch`` is accepted for interface parity and ignored — epoch
-        staleness surfaces as ``EpochRetryError`` from the serving process
-        and is absorbed by the failover retry below.
+        Epoch staleness surfaces as ``EpochRetryError`` from the serving
+        process and is absorbed by the failover retry below.  A shard that
+        stays unreachable, or whose round fails, assigns nothing: each of
+        its writes gets the error as its outcome, and the other shards'
+        tickets still return.
         """
         by_shard: Dict[int, List[int]] = {}
         for position, (blob_id, _spans) in enumerate(batches):
             by_shard.setdefault(self.shard_index(blob_id), []).append(position)
-        results: List[Optional[List[Any]]] = [None] * len(batches)
-        futures = []
+        results: List[List[Any]] = [[] for _ in batches]
+        rounds = []
         for shard, positions in by_shard.items():
             shard_batches = [
                 [batches[p][0], [list(span) for span in batches[p][1]]]
                 for p in positions
             ]
             token = self._writer_token(writer)
-            futures.append(
-                (
-                    positions,
-                    shard_batches,
-                    token,
-                    self._serving_rpc(shard).submit(
-                        "register_writes_bulk",
-                        {"batches": shard_batches, "writer": token},
-                    ),
-                )
-            )
-        for positions, shard_batches, token, future in futures:
             try:
+                future = self._serving_rpc(shard).submit(
+                    "register_writes_bulk",
+                    {"batches": shard_batches, "writer": token},
+                )
+            except (ConnectionError, OSError) as exc:
+                future = exc
+            rounds.append((positions, shard_batches, token, future))
+        for positions, shard_batches, token, future in rounds:
+            try:
+                if isinstance(future, BaseException):
+                    raise future
                 shard_results = future.result()
             except (EpochRetryError, ConnectionError, OSError):
                 # The fast parallel path lost this shard mid-round: fall
@@ -375,30 +367,33 @@ class RemoteCoordinator:
                 # comes back instead of being assigned twice.  A shard
                 # marked DOWN keeps its ring slot, so re-resolving any blob
                 # of the group finds the whole group's serving process.
-                shard_results = self._call_with_failover(
-                    lambda: self.shard_index(batches[positions[0]][0]),
-                    "register_writes_bulk",
-                    {"batches": shard_batches, "writer": token, "reconcile": True},
-                    reconcilable=True,
-                )
+                try:
+                    shard_results = self._call_with_failover(
+                        lambda: self.shard_index(batches[positions[0]][0]),
+                        "register_writes_bulk",
+                        {"batches": shard_batches, "writer": token, "reconcile": True},
+                        reconcilable=True,
+                    )
+                except BlobSeerError as exc:
+                    shard_results = [[exc] * len(spans) for _, spans in shard_batches]
+            except BlobSeerError as exc:
+                shard_results = [[exc] * len(spans) for _, spans in shard_batches]
             for position, tickets in zip(positions, shard_results):
                 results[position] = tickets
-        return results  # type: ignore[return-value]
+        return results
 
     # -- publication ---------------------------------------------------------------
-    def publish_many(
-        self, blob_id: BlobId, versions: Sequence[Version], guard=None
-    ) -> Version:
+    def publish_many(self, blob_id: BlobId, versions: Sequence[Version]) -> Version:
         # Retry-idempotent on the shard (PENDING -> COMPLETED only), so the
         # failover loop can safely re-send a round whose ack was lost.
         return self._call_routed(
             blob_id, "publish_many", {"blob_id": blob_id, "versions": list(versions)}
         )
 
-    def abort(self, blob_id: BlobId, version: Version, guard=None) -> None:
+    def abort(self, blob_id: BlobId, version: Version) -> None:
         self._call_routed(blob_id, "abort", {"blob_id": blob_id, "version": version})
 
-    def mark_repaired(self, blob_id: BlobId, version: Version, guard=None) -> Version:
+    def mark_repaired(self, blob_id: BlobId, version: Version) -> Version:
         return self._call_routed(
             blob_id, "mark_repaired", {"blob_id": blob_id, "version": version}
         )
@@ -469,9 +464,6 @@ class RemoteProviderManager:
             },
         )
         return write_id, plan
-
-    def complete(self, plan: WritePlan) -> None:
-        self._rpc.call("complete", {"plan": plan})
 
     def load_snapshot(self) -> Dict[str, int]:
         return self._rpc.call("load_snapshot")

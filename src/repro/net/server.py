@@ -22,7 +22,8 @@ only reached through framed RPCs instead of direct calls:
   seeded by ``--seed``, over the payload-free
   :class:`~repro.core.data_provider.ProviderLedger` the simulator uses
   too (the bytes live in the provider processes, so the ledger's
-  ``chunks_stored`` stays 0 and only load-aware placement degrades).
+  ``chunks_stored`` stays 0 and load-aware placement reads the manager's
+  own count of chunks placed per provider).
 
 Every role also serves ``ping``, ``health`` and the observability RPCs
 (``metrics``, ``trace_spans``, ``slow_ops``).
@@ -641,7 +642,6 @@ def pmgr_handlers(index: int, config: BlobSeerConfig, seed: int = 0) -> Handlers
         "allocate": lambda blob_id, offset, size, chunk_size, replication=None: list(
             manager.allocate(blob_id, offset, size, chunk_size, replication=replication)
         ),
-        "complete": manager.complete,
         "load_snapshot": manager.load_snapshot,
         "placement_balance": manager.placement_balance,
         "set_provider_alive": set_provider_alive,

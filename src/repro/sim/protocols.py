@@ -134,7 +134,6 @@ class SimClient:
         fragments, pushed_ok = yield from self._push_chunks(
             blob, write_id, plan, offset, size
         )
-        cluster.provider_manager.complete(plan)
         if not pushed_ok:
             return None
         # Step 3: the serialised version assignment, at the serving shard.
@@ -174,7 +173,6 @@ class SimClient:
         fragments, pushed_ok = yield from self._push_chunks(
             blob, write_id, plan, ticket.offset, size
         )
-        cluster.provider_manager.complete(plan)
         if not pushed_ok:
             # The version is already assigned: repair it so the frontier moves.
             try:

@@ -38,13 +38,6 @@ class TestCoordinatorMembership:
         assert membership.statuses() == [ShardStatus.ACTIVE, ShardStatus.ACTIVE]
         assert membership.ring_member_indexes() == [0, 1]
 
-    def test_route_is_atomic_owner_epoch_pair(self):
-        membership = CoordinatorMembership(["vm-000", "vm-001", "vm-002"])
-        for blob_id in range(1, 50):
-            index, epoch = membership.route(blob_id)
-            assert index == membership.owner_index(blob_id)
-            assert epoch == 1
-
     def test_join_transition_bumps_epoch_once(self):
         membership = CoordinatorMembership(["vm-000", "vm-001"])
         membership.begin_join("vm-002", migrating=[7, 9])
@@ -95,15 +88,6 @@ class TestCoordinatorMembership:
         membership.check_commit([41], epoch=1)  # unaffected blob sails through
         membership.commit_transition("joined")
         membership.check_commit([42], epoch=2)  # new epoch: fine again
-
-    def test_stale_epoch_is_rejected_for_retry(self):
-        membership = CoordinatorMembership(["vm-000", "vm-001"])
-        membership.begin_join("vm-002", migrating=[])
-        membership.commit_transition("joined")
-        with pytest.raises(EpochRetryError) as err:
-            membership.check_epoch(1)
-        assert err.value.epoch == 2
-        membership.check_epoch(2)
 
     def test_single_transition_at_a_time(self):
         membership = CoordinatorMembership(["vm-000", "vm-001"])
@@ -327,19 +311,6 @@ class TestRemoveShard:
 
 
 class TestEpochRaces:
-    def test_stale_epoch_registration_is_rejected_before_assignment(self):
-        svm, blob_ids = seeded_coordinator()
-        stale = svm.epoch
-        svm.add_shard()
-        registered_before = svm.writes_registered
-        with pytest.raises(EpochRetryError):
-            svm.register_writes_bulk([(blob_ids[0], [(0, 4)])], epoch=stale)
-        # Rejected *before* anything was assigned: no orphaned version.
-        assert svm.writes_registered == registered_before
-        # Re-routed under the current epoch, the same registration lands.
-        results = svm.register_writes_bulk([(blob_ids[0], [(0, 4)])], epoch=svm.epoch)
-        assert results[0][0].version == 2
-
     def test_commit_guard_rejects_mid_migration_then_retry_succeeds(self):
         from repro.core.membership import _blob_key
         from repro.dht.ring import build_ring

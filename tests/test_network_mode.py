@@ -226,3 +226,48 @@ class TestKilledProviderResilience:
         processes = list(dep.processes)
         dep.close()
         assert all(proc.returncode == 0 for proc in processes)
+
+
+class TestWritePathRoundTrips:
+    def test_rpcs_per_op_are_the_papers_write_protocol(self):
+        """A write pays allocate, push, register, history, one put per tree
+        level and publish; nothing else crosses the wire (no per-write
+        ``blob_info`` re-read, no report back to the provider manager)."""
+        config = _network_config(num_version_managers=1, chunk_size=64 * 1024)
+        with make_deployment(config) as dep:
+            blob = dep.client().create_blob()
+
+            def requests_sent():
+                return sum(s["requests_sent"] for s in dep.rpc_stats().values())
+
+            counts = []
+            for index in range(4):
+                before = requests_sent()
+                blob.append(bytes([65 + index]) * 64 * 1024)
+                counts.append(requests_sent() - before)
+            # The tree grows a level per doubling of the blob: 1, 2, 3, 3.
+            assert counts == [6, 7, 8, 8]
+            before = requests_sent()
+            blob.write(0, b"z" * 64 * 1024)
+            assert requests_sent() - before == 8
+
+
+class TestNetworkedPlacement:
+    def test_load_aware_placement_spreads_over_providers(self):
+        """The ``pmgr`` process's ledger never learns ``chunks_stored``, so
+        load-aware placement runs on the chunks it placed: eight one-chunk
+        appends land two per provider, not all on the first one."""
+        config = _network_config(
+            num_metadata_providers=1,
+            num_version_managers=1,
+            placement_strategy="load_aware",
+        )
+        with make_deployment(config) as dep:
+            blob = dep.client().create_blob()
+            for index in range(8):
+                blob.append(bytes([65 + index]) * CHUNK)
+            stored = {
+                pid: rpc.call("chunks_stored")
+                for pid, rpc in dep.provider_rpcs.items()
+            }
+            assert sorted(stored.values()) == [2, 2, 2, 2]

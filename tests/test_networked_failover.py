@@ -27,7 +27,9 @@ import time
 
 from repro.core import BlobSeerConfig
 from repro.core.deployment import make_deployment
+from repro.core.errors import ServiceError
 from repro.core.membership import ShardStatus
+from repro.core.version_manager import VersionManager
 from repro.net import ChaosEvent, ChaosSchedule, ClusterMonitor, ProcessDeployment
 from repro.net.proxies import RemoteCoordinator
 
@@ -211,6 +213,77 @@ class TestClientEpochRerouting:
             dep.kill_coordinator_shard(shard)
             client.append(blob.blob_id, b"e" * CHUNK)
             assert dep.version_manager.reroutes > before
+
+
+class _ResolvedFuture:
+    def __init__(self, value):
+        self._value = value
+
+    def result(self, timeout=None):
+        return self._value
+
+
+class _ShardStub:
+    """An in-process coordinator shard behind the two RpcClient calls the
+    registration path uses."""
+
+    def __init__(self, manager: VersionManager) -> None:
+        self.manager = manager
+
+    def submit(self, method, params=None):
+        return _ResolvedFuture(self.call(method, params))
+
+    def call(self, method, params=None):
+        if method == "membership":
+            return None
+        assert method == "register_writes_bulk"
+        batches = [
+            (blob_id, [tuple(span) for span in spans])
+            for blob_id, spans in params["batches"]
+        ]
+        return self.manager.register_writes_bulk(batches, writer=params["writer"])
+
+
+class _DeadStub:
+    def submit(self, method, params=None):
+        raise ConnectionError("shard process is gone")
+
+    call = submit
+
+
+class TestRemoteShardIsolation:
+    def test_unreachable_shard_fails_only_its_writes(self):
+        """A cross-shard bulk registration with one shard unreachable after
+        every re-route: the dead shard's writes get ``ServiceError``
+        outcomes and the live shard's tickets come back."""
+        live = VersionManager()
+        coordinator = RemoteCoordinator(
+            [_ShardStub(live), _DeadStub()],
+            reroute_retries=2,
+            reroute_backoff=0.0,
+            reroute_backoff_max=0.0,
+        )
+        live_ids = [b for b in range(1, 50) if coordinator.shard_index(b) == 0][:2]
+        dead_ids = [b for b in range(1, 50) if coordinator.shard_index(b) == 1][:2]
+        assert len(live_ids) == len(dead_ids) == 2
+        for blob_id in live_ids:
+            live.create_blob(chunk_size=16, blob_id=blob_id)
+        batches = [
+            (live_ids[0], [(0, 16)]),
+            (dead_ids[0], [(0, 16), (0, 8)]),
+            (live_ids[1], [(0, 16), (0, 8)]),
+            (dead_ids[1], [(0, 16)]),
+        ]
+        results = coordinator.register_writes_bulk(batches, writer="w")
+        assert [len(outcomes) for outcomes in results] == [1, 2, 2, 1]
+        for (blob_id, _), outcomes in zip(batches, results):
+            if blob_id in dead_ids:
+                assert all(isinstance(o, ServiceError) for o in outcomes)
+            else:
+                assert [o.version for o in outcomes] == list(
+                    range(1, len(outcomes) + 1)
+                )
+        assert coordinator.reroutes == 2  # one dead-shard round, two attempts
 
 
 class TestRestartFromJournal:

@@ -210,12 +210,25 @@ class TestProviderManager:
         with pytest.raises(AllocationError):
             manager.allocate(1, 0, 0, 64)
 
-    def test_pending_load_released_on_complete(self):
+    def test_allocations_raise_load_and_do_not_fall_back(self):
         manager, _ = self.make()
+        manager.allocate(1, 0, 256, 64)
+        assert sum(manager.load_snapshot().values()) == 4
+        manager.allocate(1, 256, 128, 64)
+        # Nothing reports completion: the placed count only grows.
+        assert sum(manager.load_snapshot().values()) == 6
+
+    def test_load_is_the_larger_of_stored_and_placed(self):
+        manager, pool = self.make()
+        # A preload the manager never placed counts...
+        for offset in range(0, 3 * 64, 64):
+            pool.write_chunk(["p0"], ChunkKey(9, 1, offset), b"x" * 64)
         _, plan = manager.allocate(1, 0, 256, 64)
-        assert sum(manager.load_snapshot().values()) >= 4
-        manager.complete(plan)
-        assert sum(manager.load_snapshot().values()) == 0
+        assert manager.load_snapshot() == {"p0": 3, "p1": 1, "p2": 1, "p3": 1}
+        # ...and a placed chunk that lands is not counted twice.
+        for offset, replicas in plan.placements:
+            pool.write_chunk(list(replicas), ChunkKey(1, 1, offset), b"x" * 64)
+        assert manager.load_snapshot() == {"p0": 4, "p1": 1, "p2": 1, "p3": 1}
 
     def test_round_robin_balances_chunks(self):
         manager, pool = self.make()
@@ -223,5 +236,4 @@ class TestProviderManager:
             _, plan = manager.allocate(1, 0, 256, 64)
             for offset, replicas in plan.placements:
                 pool.write_chunk(list(replicas), ChunkKey(1, offset + id(plan) % 7919, offset), b"x" * 64)
-            manager.complete(plan)
         assert manager.placement_balance() < 0.3

@@ -298,19 +298,28 @@ class TestCoordinatorDurability:
 
     def test_bulk_register_with_unreachable_shard_assigns_nothing(self):
         """A cross-shard bulk registration hitting a down shard (no failover)
-        must fail before *any* shard assigns a version — an orphaned sibling
-        ticket would stall its blob's frontier forever."""
+        fails only that shard's writes: the dead shard assigns nothing, each
+        of its writes reports a ``ServiceError``, and the live shard's
+        tickets come back."""
         vm = ShardedVersionManager(num_shards=2)
         vm.enable_durability(failover=False)
         blobs = [vm.create_blob(chunk_size=16) for _ in range(8)]
         shard_of = {b.blob_id: vm.shard_index(b.blob_id) for b in blobs}
         assert set(shard_of.values()) == {0, 1}, "need blobs on both shards"
         vm.crash_shard(1)
-        batch = [(b.blob_id, [(0, 16)]) for b in blobs]
-        with pytest.raises(ServiceError):
-            vm.register_writes_bulk(batch)
+        batch = [(b.blob_id, [(0, 16), (0, 8)]) for b in blobs]
+        results = vm.register_writes_bulk(batch)
+        assert len(results) == len(blobs)
+        for b, outcomes in zip(blobs, results):
+            assert len(outcomes) == 2
+            if shard_of[b.blob_id] == 1:
+                assert all(isinstance(o, ServiceError) for o in outcomes)
+            else:
+                assert [o.version for o in outcomes] == [1, 2]
+                assert vm.pending_versions(b.blob_id) == [1, 2]
+        vm.recover_shard(1)
         for b in blobs:
-            if shard_of[b.blob_id] == 0:
+            if shard_of[b.blob_id] == 1:
                 assert vm.pending_versions(b.blob_id) == []
 
     def test_enable_durability_with_reopened_journals_recovers(self, tmp_path):

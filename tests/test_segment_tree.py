@@ -327,6 +327,30 @@ class TestMetadataOverheadScaling:
         deltas = [b - a for a, b in zip(costs, costs[1:])]
         assert all(delta <= 1 for delta in deltas)  # one extra level per doubling
 
+    def test_leaf_building_clips_only_overlapping_fragments(self, monkeypatch):
+        """Leaves clip only the fragments they overlap, not every fragment
+        of the write: at most leaves + fragments clips per build."""
+        calls = []
+        real_clip = Fragment.clip
+
+        def counting_clip(self, target):
+            calls.append(target)
+            return real_clip(self, target)
+
+        monkeypatch.setattr(Fragment, "clip", counting_clip)
+        offset, size = 5, 64 * CS + 3
+        fragments = fragments_for(1, offset, size)
+        SegmentTreeBuilder(make_store(), CS).build(
+            blob_id=1,
+            version=1,
+            write_interval=Interval.of(offset, size),
+            new_fragments=fragments,
+            history=[],
+            new_size=offset + size,
+        )
+        leaves = (offset + size - 1) // CS + 1
+        assert len(calls) <= leaves + len(fragments)
+
     @given(
         offset_chunks=st.integers(min_value=0, max_value=20),
         size_chunks=st.integers(min_value=1, max_value=20),
