@@ -559,9 +559,8 @@ class BlobSeerClient:
         # Prefetch every weaving op's base history concurrently (one
         # coordinator round trip each; pipelined over shared connections in
         # networked mode).  Histories are keyed by (blob, version) — unique
-        # per op.  A blob turns *dirty* when one of its ops aborts mid-loop
-        # below; later ops of a dirty blob refetch inline so they observe
-        # the sibling's aborted state, exactly as the sequential loop did.
+        # per op, and the records below a version are fixed once it is
+        # assigned, so a sibling aborting mid-loop changes none of them.
         batch_ctx = obs_trace.current_context()
 
         def fetch_history(blob_id, upto):
@@ -586,7 +585,6 @@ class BlobSeerClient:
                 ),
             )
         )
-        dirty_blobs: set = set()
 
         def queue_repair(p: _Pending) -> None:
             repair_started = time.perf_counter()
@@ -596,20 +594,13 @@ class BlobSeerClient:
 
         for p in ordered:
             if p.needs_repair:
-                dirty_blobs.add(p.op.blob_id)
                 queue_repair(p)
                 p.add_net(transport.take_net_timings())
                 continue
             info = p.info
             ticket = p.ticket
-            if info.blob_id not in dirty_blobs:
-                history, net = prefetched[(info.blob_id, ticket.version - 1)]
-                p.add_net(net)
-            else:
-                try:
-                    history = vm.get_history(info.blob_id, ticket.version - 1)
-                except ServiceError as exc:
-                    history = exc
+            history, net = prefetched[(info.blob_id, ticket.version - 1)]
+            p.add_net(net)
             if isinstance(history, ServiceError):
                 # Coordinator lost between assignment and the weave (and no
                 # failover path): the op fails, its version stays pending
@@ -634,7 +625,6 @@ class BlobSeerClient:
                 # order — a same-batch successor's tree builds on top of it)
                 # so the published frontier never stalls behind it.
                 self._fail(p, exc)
-                dirty_blobs.add(info.blob_id)
                 try:
                     vm.abort(info.blob_id, ticket.version)
                 except (ServiceError, ConnectionError):

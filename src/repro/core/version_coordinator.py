@@ -11,13 +11,15 @@ that one lock and one simulated node.
 
 This module removes that last global serialisation point:
 
-* :class:`VersionCoordinator` names the protocol every layer above is
-  written against — the full version-manager surface plus a *routing*
-  surface (:attr:`~VersionCoordinator.num_shards`,
-  :attr:`~VersionCoordinator.epoch`, :meth:`~VersionCoordinator.shard_index`).
-  A plain ``VersionManager`` is the degenerate single-shard implementation.
-* :class:`ShardedVersionManager` routes blobs to one of N version-manager
-  shards through a first-class :class:`~repro.core.membership.
+* :class:`VersionCoordinator` is the one router every layer above is
+  written against: it maps blobs to shards through a
+  :class:`~repro.core.membership.CoordinatorMembership`, runs the one
+  stale-route retry loop, and implements the whole per-blob surface and
+  bulk registration on top of it.  A subclass states only how a shard is
+  reached and what a stale route looks like; the networked
+  :class:`~repro.net.proxies.RemoteCoordinator` is the RPC subclass.
+* :class:`ShardedVersionManager` routes blobs to one of N in-process
+  version-manager shards through a first-class :class:`~repro.core.membership.
   CoordinatorMembership` — an epoch-numbered consistent-hash ring with a
   per-shard status, the single source of truth every consumer (failover,
   placement steering, the simulators) reads.
@@ -50,7 +52,7 @@ everything across blobs.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from .config import DEFAULT_CHUNK_SIZE
 from .errors import (
@@ -71,79 +73,303 @@ from .version_manager import VersionManager, WriteState
 MIGRATION_BATCH_BLOBS = 16
 
 
-@runtime_checkable
-class VersionCoordinator(Protocol):
-    """The version-coordination service surface the rest of the system uses.
+class VersionCoordinator:
+    """The version-coordination service the rest of the system uses.
 
-    Implemented by :class:`ShardedVersionManager`, which routes each blob
-    to one of its :class:`~repro.core.version_manager.VersionManager`
-    shards, and by the networked
-    :class:`~repro.net.proxies.RemoteCoordinator`.  Callers never route:
-    :meth:`register_writes_bulk` takes a whole batch, groups it by shard
-    and absorbs membership epoch races itself.  Monitoring and placement
-    ask :meth:`shard_index` who owns a blob; everything else is the
-    familiar version-manager API.
+    One router over N coordinator shards.  It owns blob → shard routing
+    (``membership``, read through :attr:`epoch` and :meth:`shard_index`),
+    the one stale-route retry loop (:meth:`_route`), the per-blob surface
+    and :meth:`register_writes_bulk`; :meth:`register_write`,
+    :meth:`register_writes` and :meth:`publish` are one-blob views of the
+    bulk calls.  Callers never route: a batch goes to
+    :meth:`register_writes_bulk` whole, and epoch races and failovers are
+    absorbed here.
+
+    A subclass states only how a shard is reached and what a stale route
+    looks like:
+
+    * :meth:`_serving_shard` — the handle answering for a shard index now;
+    * :meth:`_submit` — start one call on a handle, returning a thunk that
+      yields its reply (a networked round is on the wire before any reply
+      is awaited);
+    * :attr:`RETRYABLE`, :meth:`_resync` and :attr:`max_route_attempts` —
+      which errors mean "stale route", what to do before re-routing, and
+      how often;
+    * :meth:`_guard` and :meth:`_round_writer` — the commit guard a
+      mutating round runs under, and the writer identity one logical
+      registration carries across its retries.
+
+    Implemented in-process by :class:`ShardedVersionManager` and over RPC
+    by :class:`~repro.net.proxies.RemoteCoordinator`.
     """
 
-    # routing
-    @property
-    def num_shards(self) -> int: ...
-    @property
-    def epoch(self) -> int: ...
-    def shard_index(self, blob_id: BlobId) -> int: ...
+    #: Errors that mean the route was stale: resync, re-route and retry.
+    RETRYABLE: Tuple[Type[BaseException], ...] = (EpochRetryError,)
+    #: Attempts one routed round takes before its blobs fail.
+    max_route_attempts = 64
+    membership: CoordinatorMembership
 
-    # blob lifecycle
-    def create_blob(
+    # -- routing -----------------------------------------------------------------
+    @property
+    def epoch(self) -> int:
+        return self.membership.epoch
+
+    def shard_index(self, blob_id: BlobId) -> int:
+        """Index of the shard owning ``blob_id`` (stable across processes)."""
+        return self.membership.owner_index(blob_id)
+
+    # -- hooks -------------------------------------------------------------------
+    def _serving_shard(self, index: int) -> Any:
+        raise NotImplementedError
+
+    def _submit(
         self,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        replication: int = 1,
-        blob_id: Optional[BlobId] = None,
-        avoid_shards: Optional[Sequence[int]] = None,
-    ) -> BlobInfo: ...
-    def blob_ids(self) -> List[BlobId]: ...
-    def blob_info(self, blob_id: BlobId) -> BlobInfo: ...
+        handle: Any,
+        method: str,
+        params: Dict[str, Any],
+        guard: Optional[Callable[[], None]],
+        retry: bool,
+    ) -> Callable[[], Any]:
+        raise NotImplementedError
 
-    # the serialised step
+    def _resync(self, exc: BaseException, attempt: int) -> None:
+        raise NotImplementedError
+
+    def _guard(
+        self, blob_ids: Tuple[BlobId, ...], epoch: int
+    ) -> Optional[Callable[[], None]]:
+        return None
+
+    def _round_writer(self, writer: Optional[str]) -> Optional[str]:
+        return writer
+
+    # -- the one stale-route loop --------------------------------------------------
+    def _route(
+        self,
+        method: str,
+        blob_ids: Sequence[Any],
+        params: Callable[[List[int]], Dict[str, Any]],
+        mutating: bool = False,
+        owner: Optional[Callable[[Any], int]] = None,
+    ) -> List[Tuple[List[int], Any]]:
+        """Run ``method`` for ``blob_ids``, one round per owning shard.
+
+        ``params(positions)`` builds a round's parameters from the
+        positions of its blobs; ``owner`` maps a key to its shard
+        (default :meth:`shard_index`).  Every round is started before the
+        first reply is awaited.  A mutating round runs under
+        :meth:`_guard`, which rejects it before anything is assigned when
+        the epoch it was routed under has moved.
+
+        A round whose outcome is :attr:`RETRYABLE` — or
+        :class:`BlobNotFoundError` once the epoch moved, i.e. the blob left
+        its old owner — was routed stale: after :meth:`_resync` only its
+        blobs are re-routed and reissued, with ``retry`` set so a
+        registration reconciles an interrupted round instead of assigning
+        twice.  After :attr:`max_route_attempts` those blobs fail with a
+        :class:`ServiceError`.  Any other :class:`BlobSeerError` is the
+        outcome of its own round only.
+
+        Returns ``(positions, outcome)`` pairs, an outcome being the
+        shard's reply or the exception that ended the round.
+        """
+        owner = owner or self.shard_index
+        caught = (*self.RETRYABLE, BlobSeerError)
+        done: List[Tuple[List[int], Any]] = []
+        pending = list(range(len(blob_ids)))
+        attempt = 0
+        while True:
+            # Epoch first: an owner computed under a newer ring is then
+            # caught as stale by the guard (or the not-found check below).
+            epoch = self.epoch
+            by_shard: Dict[int, List[int]] = {}
+            for position in pending:
+                by_shard.setdefault(owner(blob_ids[position]), []).append(position)
+            started = []
+            for index, positions in by_shard.items():
+                guard = (
+                    self._guard(tuple(blob_ids[p] for p in positions), epoch)
+                    if mutating
+                    else None
+                )
+                try:
+                    reply = self._submit(
+                        self._serving_shard(index),
+                        method,
+                        params(positions),
+                        guard,
+                        attempt > 0,
+                    )
+                except caught as exc:
+                    reply = exc
+                started.append((positions, reply))
+            pending = []
+            stale: Optional[BaseException] = None
+            for positions, reply in started:
+                if not isinstance(reply, BaseException):
+                    try:
+                        reply = reply()
+                    except caught as exc:
+                        reply = exc
+                if isinstance(reply, self.RETRYABLE) or (
+                    isinstance(reply, BlobNotFoundError) and self.epoch != epoch
+                ):
+                    pending.extend(positions)
+                    stale = reply
+                else:
+                    done.append((positions, reply))
+            if not pending:
+                return done
+            attempt += 1
+            if attempt >= self.max_route_attempts:
+                error = ServiceError(
+                    f"{method!r} still failing after {attempt} route attempts: {stale}"
+                )
+                error.__cause__ = stale
+                done.append((pending, error))
+                return done
+            self._resync(stale, attempt)
+
+    def _call(
+        self,
+        method: str,
+        blob_id: Any,
+        params: Dict[str, Any],
+        mutating: bool = False,
+        owner: Optional[Callable[[Any], int]] = None,
+    ) -> Any:
+        """One routed call for one key: its reply, or its error raised."""
+        [(_, outcome)] = self._route(
+            method, [blob_id], lambda _: params, mutating, owner
+        )
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    # -- blob lifecycle ------------------------------------------------------------
+    def blob_info(self, blob_id: BlobId) -> BlobInfo:
+        return self._call("blob_info", blob_id, {"blob_id": blob_id})
+
+    # -- the serialised step -------------------------------------------------------
     def register_write(
         self, blob_id: BlobId, offset: int, size: int, writer: Optional[str] = None
-    ) -> WriteTicket: ...
+    ) -> WriteTicket:
+        result = self.register_writes(blob_id, [(offset, size)], writer=writer)[0]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
     def register_writes(
         self,
         blob_id: BlobId,
         writes: Sequence[Tuple[int, int]],
         writer: Optional[str] = None,
-    ) -> List[Union[WriteTicket, Exception]]: ...
+    ) -> List[Union[WriteTicket, Exception]]:
+        return self.register_writes_bulk([(blob_id, writes)], writer=writer)[0]
+
     def register_writes_bulk(
         self,
         batches: Sequence[Tuple[BlobId, Sequence[Tuple[int, int]]]],
         writer: Optional[str] = None,
-    ) -> List[List[Union[WriteTicket, Exception]]]: ...
+    ) -> List[List[Union[WriteTicket, Exception]]]:
+        """Bulk-register, one serialised round per owning shard.
+
+        Result lists stay aligned with ``batches``.  Shards are independent
+        serialisation domains (there is deliberately no cross-shard
+        transaction), so a shard's failure is confined to its own writes: a
+        shard that cannot be reached, or whose round fails (an unknown blob
+        id), assigns nothing and reports the error as the outcome of each
+        of its writes, while the other shards' tickets return.  A round
+        that loses a race with a membership change or a failover is
+        re-routed and reissued by :meth:`_route` — only that shard's round,
+        reconciled under the same writer — so no registration is lost or
+        assigned twice.
+        """
+        writer = self._round_writer(writer)
+        results: List[List[Union[WriteTicket, Exception]]] = [[] for _ in batches]
+        for positions, outcome in self._route(
+            "register_writes_bulk",
+            [blob_id for blob_id, _ in batches],
+            lambda positions: {
+                "batches": [batches[p] for p in positions],
+                "writer": writer,
+            },
+            mutating=True,
+        ):
+            if isinstance(outcome, BaseException):
+                outcome = [[outcome] * len(batches[p][1]) for p in positions]
+            for position, tickets in zip(positions, outcome):
+                results[position] = tickets
+        return results
+
     def register_append(
         self, blob_id: BlobId, size: int, writer: Optional[str] = None
-    ) -> WriteTicket: ...
+    ) -> WriteTicket:
+        return self._call(
+            "register_append",
+            blob_id,
+            {"blob_id": blob_id, "size": size, "writer": self._round_writer(writer)},
+            mutating=True,
+        )
 
-    # publication
-    def publish(self, blob_id: BlobId, version: Version) -> Version: ...
-    def publish_many(self, blob_id: BlobId, versions: Sequence[Version]) -> Version: ...
-    def abort(self, blob_id: BlobId, version: Version) -> None: ...
-    def mark_repaired(self, blob_id: BlobId, version: Version) -> Version: ...
+    # -- publication ---------------------------------------------------------------
+    def publish(self, blob_id: BlobId, version: Version) -> Version:
+        return self.publish_many(blob_id, [version])
 
-    # read-side queries
-    def latest_version(self, blob_id: BlobId) -> Version: ...
+    def publish_many(self, blob_id: BlobId, versions: Sequence[Version]) -> Version:
+        # Retry-idempotent on the shard (PENDING -> COMPLETED only), so a
+        # round whose reply was lost can safely be reissued.
+        return self._call(
+            "publish_many",
+            blob_id,
+            {"blob_id": blob_id, "versions": list(versions)},
+            mutating=True,
+        )
+
+    def abort(self, blob_id: BlobId, version: Version) -> None:
+        self._call(
+            "abort", blob_id, {"blob_id": blob_id, "version": version}, mutating=True
+        )
+
+    def mark_repaired(self, blob_id: BlobId, version: Version) -> Version:
+        return self._call(
+            "mark_repaired",
+            blob_id,
+            {"blob_id": blob_id, "version": version},
+            mutating=True,
+        )
+
+    # -- read-side queries ---------------------------------------------------------
+    def latest_version(self, blob_id: BlobId) -> Version:
+        return self._call("latest_version", blob_id, {"blob_id": blob_id})
+
     def get_snapshot(
         self, blob_id: BlobId, version: Optional[Version] = None
-    ) -> SnapshotInfo: ...
-    def get_history(self, blob_id: BlobId, upto_version: Version) -> List[WriteRecord]: ...
-    def pending_versions(self, blob_id: BlobId) -> List[Version]: ...
-    def aborted_versions(self, blob_id: BlobId) -> List[Version]: ...
-    def version_state(self, blob_id: BlobId, version: Version) -> WriteState: ...
+    ) -> SnapshotInfo:
+        return self._call(
+            "get_snapshot", blob_id, {"blob_id": blob_id, "version": version}
+        )
+
+    def get_history(self, blob_id: BlobId, upto_version: Version) -> List[WriteRecord]:
+        return self._call(
+            "get_history", blob_id, {"blob_id": blob_id, "upto_version": upto_version}
+        )
+
+    def pending_versions(self, blob_id: BlobId) -> List[Version]:
+        return self._call("pending_versions", blob_id, {"blob_id": blob_id})
+
+    def aborted_versions(self, blob_id: BlobId) -> List[Version]:
+        return self._call("aborted_versions", blob_id, {"blob_id": blob_id})
+
+    def version_state(self, blob_id: BlobId, version: Version) -> WriteState:
+        return WriteState(
+            self._call(
+                "version_state", blob_id, {"blob_id": blob_id, "version": version}
+            )
+        )
 
 
-#: Bounded retries a routed call takes across membership epoch changes.
-MAX_ROUTE_RETRIES = 64
-
-
-class ShardedVersionManager:
+class ShardedVersionManager(VersionCoordinator):
     """N version-manager shards behind an epoch-versioned membership router.
 
     Blob ids are allocated globally (so ids stay unique and dense exactly
@@ -204,17 +430,20 @@ class ShardedVersionManager:
     def num_shards(self) -> int:
         return len(self.shards)
 
-    @property
-    def epoch(self) -> int:
-        return self.membership.epoch
-
-    def shard_index(self, blob_id: BlobId) -> int:
-        """Index of the shard owning ``blob_id`` (stable across processes)."""
-        return self.membership.owner_index(blob_id)
-
     def successor_index(self, index: int) -> int:
         """Ring successor of shard ``index`` — where its standby is hosted."""
         return self.membership.successor_index(index)
+
+    def _standby_host(self, index: int) -> Optional[int]:
+        """Where shard ``index``'s standby can serve it: the ring successor,
+        when failover is on, the standby exists and that host is up; else
+        None."""
+        if self.standbys is None or self.standbys[index] is None:
+            return None
+        host = self.successor_index(index)
+        if host == index or not self.shard_alive(host):
+            return None
+        return host
 
     def active_shard_index(self, blob_id: BlobId) -> int:
         """Index of the shard currently *serving* ``blob_id``.
@@ -226,16 +455,10 @@ class ShardedVersionManager:
         against) the dead machine, which is where they would really go.
         """
         index = self.shard_index(blob_id)
-        if self.membership.status_of(index) is not ShardStatus.DOWN or self.standbys is None:
+        if self.membership.status_of(index) is not ShardStatus.DOWN:
             return index
-        host = self.successor_index(index)
-        if (
-            host != index
-            and self.membership.status_of(host) not in (ShardStatus.DOWN, ShardStatus.RETIRED)
-            and self.standbys[index] is not None
-        ):
-            return host
-        return index
+        host = self._standby_host(index)
+        return index if host is None else host
 
     def shard_alive(self, index: int) -> bool:
         return self.membership.status_of(index) not in (
@@ -268,18 +491,12 @@ class ShardedVersionManager:
                 f"coordinator shard {self.shard_ids[index]} is down and "
                 f"failover is not enabled"
             )
-        host = self.successor_index(index)
-        standby = self.standbys[index]
-        if (
-            standby is None
-            or host == index
-            or self.membership.status_of(host) in (ShardStatus.DOWN, ShardStatus.RETIRED)
-        ):
+        if self._standby_host(index) is None:
             raise ServiceError(
                 f"coordinator shard {self.shard_ids[index]} and its standby "
-                f"host {self.shard_ids[host]} are both down"
+                f"host {self.shard_ids[self.successor_index(index)]} are both down"
             )
-        return standby.manager
+        return self.standbys[index].manager
 
     def _observable_shards(self) -> List[VersionManager]:
         """Best-effort per-shard views for aggregation/monitoring.
@@ -297,42 +514,18 @@ class ShardedVersionManager:
                 views.append(standby.manager)
         return views
 
-    # -- epoch-aware routed execution ------------------------------------------------
-    def _routed(self, blob_id: BlobId, call, mutating: bool = False):
-        """Run ``call(manager, guard)`` against the blob's serving shard.
+    # -- how a shard is reached: inline, under the epoch guard -------------------------
+    def _submit(self, handle, method, params, guard, retry):
+        if guard is not None:
+            params = dict(params, guard=guard)
+        reply = getattr(handle, method)(**params)
+        return lambda: reply
 
-        ``call`` receives the serving :class:`VersionManager` and — for
-        mutating calls — a commit guard the manager runs under its lock;
-        the guard rejects the call with :class:`EpochRetryError` when the
-        membership epoch moved past the routing decision or the blob is
-        mid-migration.  The router then waits for the membership to
-        stabilise, re-routes and retries: the epoch-based retry loop the
-        whole commit path rides on.  Reads take the same loop without a
-        guard — a blob that vanished from its old owner right after an
-        epoch bump (the post-commit drop) is simply re-routed to its new
-        one.
-        """
-        attempts = 0
-        while True:
-            # Epoch first: an owner computed under a newer ring is then
-            # caught as stale by the guard (or the not-found check below).
-            epoch = self.membership.epoch
-            manager = self._serving_shard(self.shard_index(blob_id))
-            guard = None
-            if mutating:
-                def guard(blob_id=blob_id, epoch=epoch):
-                    self.membership.check_commit((blob_id,), epoch)
-            try:
-                return call(manager, guard)
-            except EpochRetryError:
-                attempts += 1
-                if attempts >= MAX_ROUTE_RETRIES:
-                    raise
-                self.membership.wait_stable(timeout=0.25)
-            except BlobNotFoundError:
-                if self.membership.epoch == epoch or attempts >= MAX_ROUTE_RETRIES:
-                    raise
-                attempts += 1
+    def _guard(self, blob_ids, epoch):
+        return lambda: self.membership.check_commit(blob_ids, epoch)
+
+    def _resync(self, exc, attempt):
+        self.membership.wait_stable(timeout=0.25)
 
     # -- elastic membership: runtime shard add/remove ---------------------------------
     def _require_all_serving(self) -> None:
@@ -993,163 +1186,6 @@ class ShardedVersionManager:
         for shard in self._observable_shards():
             ids.extend(shard.blob_ids())
         return sorted(ids)
-
-    def blob_info(self, blob_id: BlobId) -> BlobInfo:
-        return self._routed(blob_id, lambda m, _: m.blob_info(blob_id))
-
-    # -- the serialised step (per shard, not global) ---------------------------------
-    def register_write(
-        self, blob_id: BlobId, offset: int, size: int, writer: Optional[str] = None
-    ) -> WriteTicket:
-        result = self.register_writes(blob_id, [(offset, size)], writer=writer)[0]
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-    def register_writes(
-        self,
-        blob_id: BlobId,
-        writes: Sequence[Tuple[int, int]],
-        writer: Optional[str] = None,
-    ) -> List[Union[WriteTicket, Exception]]:
-        return self._routed(
-            blob_id,
-            lambda m, guard: m.register_writes_bulk(
-                [(blob_id, writes)], writer=writer, guard=guard
-            )[0],
-            mutating=True,
-        )
-
-    def register_writes_bulk(
-        self,
-        batches: Sequence[Tuple[BlobId, Sequence[Tuple[int, int]]]],
-        writer: Optional[str] = None,
-    ) -> List[List[Union[WriteTicket, Exception]]]:
-        """Bulk-register, routing each blob's specs to its owning shard.
-
-        Each shard involved takes one serialised round; result lists stay
-        aligned with ``batches``.  Shards are independent serialisation
-        domains (there is deliberately no cross-shard transaction), so a
-        shard's failure is confined to its own writes: a shard that cannot
-        be reached (down with no failover path), or whose round fails (an
-        unknown blob id), assigns nothing and reports the error as the
-        outcome of each of its writes, while the other shards' tickets
-        return.
-
-        Each shard's round runs under a commit guard; a round that loses a
-        race with a shard add/remove is re-routed against the new ring and
-        reissued (only the affected shard's round — its guard guarantees it
-        assigned nothing), so a migration never loses or double-assigns a
-        registration.
-        """
-        results: List[List[Union[WriteTicket, Exception]]] = [[] for _ in batches]
-
-        def fail(positions: Sequence[int], exc: Exception) -> None:
-            for position in positions:
-                results[position] = [exc] * len(batches[position][1])
-
-        pending = list(range(len(batches)))
-        attempts = 0
-        while pending:
-            routing_epoch = self.membership.epoch
-            by_shard: Dict[int, List[int]] = {}
-            for position in pending:
-                blob_id = batches[position][0]
-                by_shard.setdefault(self.shard_index(blob_id), []).append(position)
-            retry: List[int] = []
-            for shard_index, positions in by_shard.items():
-                blob_ids = tuple(batches[position][0] for position in positions)
-
-                def guard(blob_ids=blob_ids, routing_epoch=routing_epoch):
-                    self.membership.check_commit(blob_ids, routing_epoch)
-
-                try:
-                    shard_results = self._serving_shard(
-                        shard_index
-                    ).register_writes_bulk(
-                        [batches[position] for position in positions],
-                        writer=writer,
-                        guard=guard,
-                    )
-                except EpochRetryError:
-                    retry.extend(positions)
-                    continue
-                except BlobSeerError as exc:
-                    fail(positions, exc)
-                    continue
-                for position, outcome in zip(positions, shard_results):
-                    results[position] = outcome
-            if retry:
-                attempts += 1
-                if attempts >= MAX_ROUTE_RETRIES:
-                    fail(
-                        retry,
-                        ServiceError(
-                            "membership would not stabilise; "
-                            f"{len(retry)} registration batches kept racing epochs"
-                        ),
-                    )
-                    break
-                self.membership.wait_stable(timeout=0.25)
-            pending = retry
-        return results
-
-    def register_append(
-        self, blob_id: BlobId, size: int, writer: Optional[str] = None
-    ) -> WriteTicket:
-        return self._routed(
-            blob_id,
-            lambda m, guard: m.register_append(
-                blob_id, size, writer=writer, guard=guard
-            ),
-            mutating=True,
-        )
-
-    # -- publication ------------------------------------------------------------------
-    def publish(self, blob_id: BlobId, version: Version) -> Version:
-        return self.publish_many(blob_id, [version])
-
-    def publish_many(self, blob_id: BlobId, versions: Sequence[Version]) -> Version:
-        return self._routed(
-            blob_id,
-            lambda m, guard: m.publish_many(blob_id, versions, guard=guard),
-            mutating=True,
-        )
-
-    def abort(self, blob_id: BlobId, version: Version) -> None:
-        self._routed(
-            blob_id,
-            lambda m, guard: m.abort(blob_id, version, guard=guard),
-            mutating=True,
-        )
-
-    def mark_repaired(self, blob_id: BlobId, version: Version) -> Version:
-        return self._routed(
-            blob_id,
-            lambda m, guard: m.mark_repaired(blob_id, version, guard=guard),
-            mutating=True,
-        )
-
-    # -- read-side queries ---------------------------------------------------------------
-    def latest_version(self, blob_id: BlobId) -> Version:
-        return self._routed(blob_id, lambda m, _: m.latest_version(blob_id))
-
-    def get_snapshot(
-        self, blob_id: BlobId, version: Optional[Version] = None
-    ) -> SnapshotInfo:
-        return self._routed(blob_id, lambda m, _: m.get_snapshot(blob_id, version))
-
-    def get_history(self, blob_id: BlobId, upto_version: Version) -> List[WriteRecord]:
-        return self._routed(blob_id, lambda m, _: m.get_history(blob_id, upto_version))
-
-    def pending_versions(self, blob_id: BlobId) -> List[Version]:
-        return self._routed(blob_id, lambda m, _: m.pending_versions(blob_id))
-
-    def aborted_versions(self, blob_id: BlobId) -> List[Version]:
-        return self._routed(blob_id, lambda m, _: m.aborted_versions(blob_id))
-
-    def version_state(self, blob_id: BlobId, version: Version) -> WriteState:
-        return self._routed(blob_id, lambda m, _: m.version_state(blob_id, version))
 
     # -- aggregate counters / monitoring -------------------------------------------------
     @property

@@ -79,11 +79,11 @@ class _BlobState:
 class VersionManager:
     """Central (but extremely lightweight) version assignment and publication.
 
-    A single ``VersionManager`` is also the degenerate one-shard case of the
-    :class:`~repro.core.version_coordinator.VersionCoordinator` service: it
-    exposes the same routing surface (:meth:`shard_index`, :attr:`num_shards`)
-    so every layer above can be written against one protocol whether the
-    deployment runs one coordinator process or sixteen.
+    One coordinator shard.  The layers above reach it through a
+    :class:`~repro.core.version_coordinator.VersionCoordinator` router,
+    which holds it in-process or calls it over RPC in a ``--role
+    coordinator`` process; the in-process router passes the epoch
+    ``guard`` that the mutating calls run under their lock.
     """
 
     def __init__(self) -> None:
@@ -461,7 +461,7 @@ class VersionManager:
         The reconcile surface for at-most-once registration over a lossy
         network: a client whose register ack was lost (e.g. the coordinator
         process was SIGKILLed after journaling but before responding)
-        retries with the same per-round writer token, and the shard answers
+        retries with the same per-call writer token, and the shard answers
         with the tickets it already holds instead of assigning duplicates.
         Rebuilds each ticket from the entry list — a linear scan of one
         blob's history, paid only on the retry path, never on the hot path.

@@ -242,7 +242,7 @@ def _blob_id_allocator(manager: VersionManager, gap: int = 0) -> Handlers:
 def _reconcile_register(manager: VersionManager, blob_id, spans, writer) -> List[Any]:
     """Idempotent re-registration for a retried round (lost-ack recovery).
 
-    The client's per-round writer token is unique, so the tickets already
+    The client's per-call writer token is unique, so the tickets already
     carrying it are exactly what the interrupted round assigned, in span
     order.  Each span consumes the next matching existing ticket; spans past
     what the first attempt got through (a SIGKILL mid-bulk journals a

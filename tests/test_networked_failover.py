@@ -32,6 +32,7 @@ from repro.core.membership import ShardStatus
 from repro.core.version_manager import VersionManager
 from repro.net import ChaosEvent, ChaosSchedule, ClusterMonitor, ProcessDeployment
 from repro.net.proxies import RemoteCoordinator
+from repro.net.server import _manager_surface
 
 CHUNK = 16 * 1024
 
@@ -284,6 +285,73 @@ class TestRemoteShardIsolation:
                     range(1, len(outcomes) + 1)
                 )
         assert coordinator.reroutes == 2  # one dead-shard round, two attempts
+
+
+
+class _LostReply:
+    def result(self, timeout=None):
+        raise ConnectionError("reply lost")
+
+
+class _LostAckShard:
+    """A coordinator shard's data plane whose first registration is applied
+    but whose reply is lost; it logs each registration's writer token and
+    reconcile flag."""
+
+    def __init__(self, manager: VersionManager) -> None:
+        self.handlers = _manager_surface(lambda: manager)
+        self.registrations = []
+
+    def submit(self, method, params=None):
+        if method == "membership":
+            return _ResolvedFuture(None)
+        reply = self.handlers[method](**params)
+        self.registrations.append((params["writer"], params.get("reconcile", False)))
+        if len(self.registrations) == 1:
+            return _LostReply()
+        return _ResolvedFuture(reply)
+
+    def call(self, method, params=None):
+        return self.submit(method, params).result()
+
+
+class TestLostRegistrationAck:
+    """A registration applied by the shard but whose reply is lost is
+    retried with ``reconcile`` under the same writer token: the shard
+    answers with the tickets it already assigned, never new ones."""
+
+    def _coordinator(self):
+        manager = VersionManager()
+        manager.create_blob(chunk_size=16, blob_id=1)
+        shard = _LostAckShard(manager)
+        coordinator = RemoteCoordinator(
+            [shard], reroute_backoff=0.0, reroute_backoff_max=0.0
+        )
+        return manager, shard, coordinator
+
+    @staticmethod
+    def _assert_reconciled_once(shard):
+        (first_writer, first_reconcile), (second_writer, second_reconcile) = (
+            shard.registrations
+        )
+        assert (first_reconcile, second_reconcile) == (False, True)
+        assert first_writer == second_writer
+
+    def test_bulk_registration_reconciles(self):
+        manager, shard, coordinator = self._coordinator()
+        [tickets] = coordinator.register_writes_bulk(
+            [(1, [(0, 16), (0, 8)])], writer="w"
+        )
+        assert [ticket.version for ticket in tickets] == [1, 2]
+        assert manager.writes_registered == 2
+        self._assert_reconciled_once(shard)
+
+    def test_append_registration_reconciles(self):
+        manager, shard, coordinator = self._coordinator()
+        ticket = coordinator.register_append(1, 16, writer="w")
+        assert ticket.version == 1
+        assert manager.writes_registered == 1
+        self._assert_reconciled_once(shard)
 
 
 class TestRestartFromJournal:

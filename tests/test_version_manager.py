@@ -18,6 +18,7 @@ from repro.core.errors import (
 )
 from repro.core.version_coordinator import ShardedVersionManager, VersionCoordinator
 from repro.core.version_manager import VersionManager, WriteState
+from repro.net.proxies import RemoteCoordinator
 
 
 @pytest.fixture
@@ -267,6 +268,7 @@ class TestBulkRounds:
 class TestShardedCoordinator:
     def test_version_manager_is_a_coordinator(self):
         assert isinstance(ShardedVersionManager(num_shards=4), VersionCoordinator)
+        assert isinstance(RemoteCoordinator([object()]), VersionCoordinator)
 
     def test_routing_is_stable_and_deterministic(self):
         svm = ShardedVersionManager(num_shards=8)
