@@ -174,9 +174,9 @@ class BlobSeerClient:
             self._metadata = PassthroughMetadataStore(deployment.metadata_store)
         #: Operation counters (reads/writes issued, bytes moved) for harnesses.
         #: ``metadata_levels_fetched`` / ``metadata_put_rounds`` count metadata
-        #: *round trips* (one vectored round per tree level), the number the
-        #: vectoring work drives down — compare against the per-node
-        #: ``metadata_nodes_*`` counters to see the batching factor.
+        #: *round trips* (one per tree level read, one per tree built);
+        #: ``metadata_base_leaf_polls`` the refetches of a base leaf that a
+        #: concurrent writer has not stored yet.
         self.counters: Dict[str, int] = {
             "reads": 0,
             "writes": 0,
@@ -188,6 +188,7 @@ class BlobSeerClient:
             "metadata_nodes_fetched": 0,
             "metadata_levels_fetched": 0,
             "metadata_put_rounds": 0,
+            "metadata_base_leaf_polls": 0,
         }
         #: ``BlobInfo`` per blob id this client has seen.  No invalidation
         #: and no lock: the parameters are fixed at creation, ids are never
@@ -588,8 +589,16 @@ class BlobSeerClient:
 
         def queue_repair(p: _Pending) -> None:
             repair_started = time.perf_counter()
-            self._build_repair(p.op.blob_id, p.ticket.version)
-            p.metadata_seconds += time.perf_counter() - repair_started
+            try:
+                self._build_repair(p.op.blob_id, p.ticket.version)
+            except (ServiceError, ConnectionError, ValueError):
+                # No repair against a lost service, nor over leaves the
+                # failed build already bound (keys are immutable): the op
+                # has failed, its version stays pending, and the rest of
+                # the batch still publishes.
+                return
+            finally:
+                p.metadata_seconds += time.perf_counter() - repair_started
             repaired.append(p)
 
         for p in ordered:
@@ -636,6 +645,7 @@ class BlobSeerClient:
             p.metadata_seconds += time.perf_counter() - build_started
             self.counters["metadata_nodes_written"] += builder.nodes_written
             self.counters["metadata_put_rounds"] += builder.put_rounds
+            self.counters["metadata_base_leaf_polls"] += builder.base_leaf_polls
             woven.append(p)
             p.add_net(transport.take_net_timings())
         for p in repaired:
@@ -771,6 +781,7 @@ class BlobSeerClient:
             new_size=record.new_size,
         )
         self.counters["metadata_put_rounds"] += builder.put_rounds
+        self.counters["metadata_base_leaf_polls"] += builder.base_leaf_polls
 
     def repair_version(self, blob_id: BlobId, version: Version) -> None:
         """Install no-op metadata for an aborted version so readers can pass it.

@@ -23,12 +23,13 @@ This module is the heart of BlobSeer's metadata scheme (Section I.B.3,
   provider, so a level's fan-out is bounded by the slowest provider, not by
   the level's node count.
 
-The builder is vectored symmetrically: it accumulates the nodes of the new
-tree and flushes them with one ``put_many`` round per level, **children
-before parents** — a writer crashing mid-weave can leave orphan subtrees
-(never referenced, harmless) but never a parent pointing at an unwritten
-child.  Base-leaf lookups for partial-chunk merges are batched the same
-way, one ``get_many`` for all the leaves a build borrows.
+The builder is vectored symmetrically: it materialises every node of the
+new tree and stores them all in **one** ``put_many`` round, in no order, as
+the paper's writer does.  No order is needed: readers reach a version's
+nodes only through its root after it is published, which follows the
+acknowledged put, and later writers read only its leaves.  Base-leaf
+lookups for partial-chunk merges are batched the same way, one
+``get_many`` for all the leaves a build borrows.
 
 Which older node a borrowed reference points to is computed *locally* from
 the blob's write history (the list of ``(version, offset, size)`` of all
@@ -138,10 +139,8 @@ def latest_version_touching(
 class SegmentTreeBuilder:
     """Builds the metadata tree of one new snapshot.
 
-    The new nodes are accumulated and flushed level by level with one
-    ``put_many`` round per level, children before parents: a crash
-    mid-weave can leave unreferenced orphan subtrees but never a parent
-    pointing at an unwritten child.
+    Every new node is materialised in memory, then stored in one
+    ``put_many`` round.
 
     Parameters
     ----------
@@ -164,9 +163,11 @@ class SegmentTreeBuilder:
         self.nodes_written = 0
         #: Number of base-tree leaves fetched for partial-chunk merges.
         self.base_leaves_fetched = 0
-        #: Number of ``put_many`` rounds the last build flushed (== tree
-        #: levels touched).
+        #: Number of ``put_many`` rounds the last build flushed (always 1).
         self.put_rounds = 0
+        #: Base-leaf refetch rounds after the first (the bounded poll for a
+        #: concurrent writer's leaf) in the last build.
+        self.base_leaf_polls = 0
 
     def _level_offsets(self, write_interval: Interval, size: int):
         """Aligned node offsets of one level that overlap ``write_interval``.
@@ -199,10 +200,6 @@ class SegmentTreeBuilder:
         cs = self._chunk_size
         span = span_bytes(new_size, cs)
         base_version = version - 1
-        self.nodes_written = 0
-        self.base_leaves_fetched = 0
-        self.put_rounds = 0
-
         fragments = sorted(new_fragments, key=lambda f: f.blob_offset)
         starts = [f.blob_offset for f in fragments]
 
@@ -257,10 +254,6 @@ class SegmentTreeBuilder:
         cs = self._chunk_size
         span = span_bytes(new_size, cs)
         base_version = version - 1
-        self.nodes_written = 0
-        self.base_leaves_fetched = 0
-        self.put_rounds = 0
-
         base_leaves = self._base_leaves(
             blob_id, write_interval, history, base_version, partial_only=False
         )
@@ -285,18 +278,15 @@ class SegmentTreeBuilder:
         base_version: Version,
         make_leaf: Callable[[NodeKey], LeafNode],
     ) -> NodeKey:
-        """Materialise every level of the new tree, then flush bottom-up."""
+        """Materialise every node of the new tree, then store them in one round."""
         cs = self._chunk_size
-        levels: List[List[Tuple[NodeKey, TreeNode]]] = [
-            [
-                (key, make_leaf(key))
-                for offset in self._level_offsets(write_interval, cs)
-                for key in (NodeKey(blob_id, version, offset, cs),)
-            ]
+        items: List[Tuple[NodeKey, TreeNode]] = [
+            (key, make_leaf(key))
+            for offset in self._level_offsets(write_interval, cs)
+            for key in (NodeKey(blob_id, version, offset, cs),)
         ]
         size = cs * 2
         while size <= span:
-            items: List[Tuple[NodeKey, TreeNode]] = []
             for offset in self._level_offsets(write_interval, size):
                 key = NodeKey(blob_id, version, offset, size)
                 children: List[Optional[NodeKey]] = []
@@ -321,13 +311,10 @@ class SegmentTreeBuilder:
                 items.append(
                     (key, InnerNode(key=key, left=children[0], right=children[1]))
                 )
-            levels.append(items)
             size *= 2
-        # Children before parents: one put_many round per level, leaves first.
-        for items in levels:
-            self._store.put_many(items)
-            self.nodes_written += len(items)
-            self.put_rounds += 1
+        self._store.put_many(items)
+        self.nodes_written = len(items)
+        self.put_rounds = 1
         return NodeKey(blob_id, version, 0, span)
 
     def _base_leaves(
@@ -344,6 +331,7 @@ class SegmentTreeBuilder:
         base content it overwrites.  Holes in the base have no entry.
         """
         cs = self._chunk_size
+        self.base_leaves_fetched = self.base_leaf_polls = 0
         base_key_of: Dict[int, NodeKey] = {}
         for offset in self._level_offsets(write_interval, cs):
             node_iv = Interval.of(offset, cs)
@@ -382,6 +370,7 @@ class SegmentTreeBuilder:
                 break
             if attempt == self.BASE_LEAF_RETRIES - 1:
                 raise MetadataNotFoundError(missing[0])
+            self.base_leaf_polls += 1
             time.sleep(self.BASE_LEAF_RETRY_SLEEP)
         for key, node in found.items():
             if not isinstance(node, LeafNode):  # pragma: no cover - defensive

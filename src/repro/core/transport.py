@@ -130,16 +130,13 @@ def _shared_executor(max_workers: int) -> ThreadPoolExecutor:
         return _EXECUTOR
 
 
-def parallel_map(
-    thunks: Sequence[Callable[[], T]], max_workers: int = 8, min_parallel: int = 2
-) -> List[T]:
+def parallel_map(thunks: Sequence[Callable[[], T]], max_workers: int = 8) -> List[T]:
     """Run independent thunks on the shared worker pool, preserving order.
 
-    Falls back to inline execution when there are fewer than
-    ``min_parallel`` thunks — fan-out only pays off when there is fan-out.
+    A single thunk runs inline — fan-out only pays off when there is fan-out.
     Exceptions propagate from whichever thunk raised first (by position).
     """
-    if len(thunks) < max(2, min_parallel):
+    if len(thunks) < 2:
         return [thunk() for thunk in thunks]
     executor = _shared_executor(max_workers)
     return [future.result() for future in [executor.submit(t) for t in thunks]]

@@ -9,14 +9,13 @@ client talks to its metadata-provider DHT.
 
 Besides the scalar ``get``/``put``, the store offers **vectored** access:
 :meth:`DistributedKeyValueStore.get_many` and :meth:`put_many` group their
-keys by owning provider and issue one bulk request per provider (fanned out
-over the shared worker pool when the group count makes threads worthwhile),
-while preserving the per-key semantics of the scalar path — replica
-fallback, dead-provider handling and the immutability rule all apply key by
-key.  Reads additionally perform **read repair**: when the value is found
-on a fallback replica, it is written back to every live owner that missed
-it, so a provider recovered with data loss re-converges instead of missing
-its keys forever.
+keys by owning provider and put one bulk request per provider on the wire,
+from the calling thread, before awaiting the first reply.  Replica
+fallback, dead-provider handling and the immutability rule apply key by
+key, as on the scalar path.  Reads additionally perform **read repair**: a
+value found on a fallback replica is written back to every live owner that
+missed it, so a provider recovered with data loss re-converges instead of
+missing its keys forever.
 """
 
 from __future__ import annotations
@@ -24,14 +23,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import MetadataNotFoundError, ServiceError
-from ..core.transport import parallel_map
 from .hashing import ring_position
 from .ring import ConsistentHashRing
 from .store import KeyValueStore
-
-#: Fan provider groups out over the worker pool only from this many groups
-#: up; below it, the thread handoff costs more than the in-process calls.
-MIN_PARALLEL_PROVIDER_GROUPS = 4
 
 
 class DistributedKeyValueStore:
@@ -183,12 +177,7 @@ class DistributedKeyValueStore:
         if self.access_hook is not None:
             for pid, group in ordered:
                 self.access_hook(pid, "put_many", tuple(key for key, _ in group))
-        self._fan_out(
-            [
-                (lambda pid=pid, group=group: self._stores[pid].put_many(group))
-                for pid, group in ordered
-            ]
-        )
+        self._fan_out("put_many", ordered)
         if dead_keys:
             raise ServiceError(
                 f"no live metadata provider available for key {dead_keys[0]!r}"
@@ -232,12 +221,7 @@ class DistributedKeyValueStore:
             if self.access_hook is not None:
                 for pid, group_keys in ordered:
                     self.access_hook(pid, "get_many", tuple(group_keys))
-            results = self._fan_out(
-                [
-                    (lambda pid=pid, group_keys=group_keys: self._stores[pid].get_many(group_keys))
-                    for pid, group_keys in ordered
-                ]
-            )
+            results = self._fan_out("get_many", ordered)
             for (pid, group_keys), got in zip(ordered, results):
                 for key in group_keys:
                     if key in got:
@@ -312,11 +296,11 @@ class DistributedKeyValueStore:
                 installed += 1
         return installed
 
-    def _fan_out(self, thunks: Sequence[Callable[[], Any]]) -> List[Any]:
-        """Run one thunk per provider group, on the shared pool when it pays."""
-        return parallel_map(
-            thunks, min_parallel=MIN_PARALLEL_PROVIDER_GROUPS
-        )
+    def _fan_out(self, method: str, groups: Sequence[Tuple[str, Any]]) -> List[Any]:
+        """Submit one bulk request per ``(provider, payload)`` group, then
+        await them in order; the first failure propagates."""
+        thunks = [self._stores[pid].submit(method, payload) for pid, payload in groups]
+        return [thunk() for thunk in thunks]
 
     def get_or_none(self, key: Any) -> Optional[Any]:
         try:

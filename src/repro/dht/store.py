@@ -12,7 +12,7 @@ a write after a timeout may legitimately resend the same node.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import MetadataNotFoundError
 
@@ -106,6 +106,11 @@ class KeyValueStore:
                     self.hits += 1
                     found[key] = value
             return found
+
+    def submit(self, method: str, payload: Any) -> Callable[[], Any]:
+        """Run one ``get_many``/``put_many`` now; return its result as a thunk."""
+        result = getattr(self, method)(payload)
+        return lambda: result
 
     def repair_put(self, key: Any, value: Any) -> None:
         """Install a value learned from a replica (read repair accounting)."""

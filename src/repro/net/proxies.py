@@ -28,7 +28,7 @@ import random
 import threading
 import time
 import uuid
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import DEFAULT_CHUNK_SIZE
 from ..core.errors import EpochRetryError, ServiceError
@@ -55,11 +55,12 @@ class RemoteKeyValueStore:
     def get_or_none(self, key: Any) -> Any:
         return self._rpc.call("get_or_none", {"key": key})
 
-    def get_many(self, keys: Sequence[Any]) -> Dict[Any, Any]:
-        return self._rpc.call("get_many", {"keys": list(keys)})
-
-    def put_many(self, items: Iterable[Tuple[Any, Any]]) -> None:
-        self._rpc.call("put_many", {"items": [[k, v] for k, v in items]})
+    def submit(self, method: str, payload: Any) -> Callable[[], Any]:
+        """Put one ``get_many``/``put_many`` on the wire; return the thunk
+        awaiting its reply."""
+        if method == "get_many":
+            return self._rpc.submit(method, {"keys": list(payload)}).result
+        return self._rpc.submit(method, {"items": [[k, v] for k, v in payload]}).result
 
     def repair_put(self, key: Any, value: Any) -> None:
         self._rpc.call("repair_put", {"key": key, "value": value})

@@ -197,7 +197,7 @@ class Monitor:
             # variation high forever with its permanent zero.
             shard_imbalance = _coefficient_of_variation(in_ring)
 
-        # Metadata round trips this window (vectored: one round per level).
+        # Metadata round trips this window (one per level read or tree built).
         rounds_total = int(getattr(self.cluster, "metadata_rounds", 0))
         metadata_rounds = rounds_total - self._last_metadata_rounds
         self._last_metadata_rounds = rounds_total

@@ -92,9 +92,9 @@ class SimulatedBlobSeer:
         #: Event log of failure injections: (time, action, node_id).
         self.failure_log: List[Tuple[float, str, str]] = []
         #: Total metadata DHT round trips taken by all sim clients — one per
-        #: recorded access, i.e. one bulk request per provider per level when
-        #: vectored, zero when the client cache absorbs a lookup.  The QoS
-        #: monitor samples its delta.
+        #: recorded access, i.e. one bulk request per provider per tree level
+        #: read or tree built, zero when the client cache absorbs a lookup.
+        #: The QoS monitor samples its delta.
         self.metadata_rounds = 0
         #: Per-blob exclusive locks used only by the lock-based baseline (E9).
         self._blob_locks: Dict[int, Any] = {}

@@ -15,7 +15,7 @@ from repro.core import BlobSeerConfig
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Lines in ``src/**/*.py``.
-SRC_LINES = 18_711
+SRC_LINES = 18_698
 #: ``except Exception`` sites in ``src/``: each one treats a bug like a fault.
 EXCEPT_EXCEPTION_SITES = 34
 #: Independently settable configuration values.

@@ -147,3 +147,50 @@ class TestWriteFailureRecovery:
             # Later writes layer on top of the repaired version normally.
             blob.append(b"two" * 50)
             assert blob.read(0, blob.size()).endswith(b"two" * 50)
+
+    def test_unrepairable_version_fails_only_its_own_op(self):
+        """A build that lands some leaves and then loses a metadata provider
+        cannot be repaired (its leaves are bound, and keys are immutable).
+        That repair failure fails only its own op: the batch's op on another
+        blob still publishes, and the failed version stays pending."""
+        from repro.core.client import AppendOp, OpStatus
+        from repro.core.types import NodeKey
+
+        config = BlobSeerConfig(
+            num_data_providers=2, num_metadata_providers=2, chunk_size=CHUNK
+        )
+        with BlobSeerDeployment(config) as deployment:
+            client = deployment.client()
+            store = deployment.metadata_store
+            blob = client.create_blob()
+            blob.append(b"a" * CHUNK)
+            candidates = [client.create_blob() for _ in range(8)]
+            for candidate in candidates:
+                candidate.append(b"b" * CHUNK)
+            # The doomed append's leaves land on the live provider as well
+            # as the dead one; its sibling's two new nodes only on the live.
+            leaves = [NodeKey(blob.blob_id, 2, o * CHUNK, CHUNK) for o in range(1, 5)]
+            victim = store.owners(leaves[0])[0]
+            live = next(pid for pid in store.provider_ids if pid != victim)
+            assert any(store.owners(key)[0] == live for key in leaves)
+            sibling = next(
+                c
+                for c in candidates
+                if store.owners(NodeKey(c.blob_id, 2, CHUNK, CHUNK))[0] == live
+                and store.owners(NodeKey(c.blob_id, 2, 0, 2 * CHUNK))[0] == live
+            )
+            store.fail_provider(victim)
+            results = client.submit_ops(
+                [
+                    AppendOp(blob.blob_id, b"x" * (4 * CHUNK)),
+                    AppendOp(sibling.blob_id, b"y" * CHUNK),
+                ]
+            )
+            assert results[0].status is OpStatus.FAILED
+            assert isinstance(results[0].error, ServiceError)
+            assert results[1].status is OpStatus.OK
+            assert sibling.read(0, 2 * CHUNK) == b"b" * CHUNK + b"y" * CHUNK
+            store.recover_provider(victim)
+            vm = deployment.version_manager
+            assert vm.latest_version(blob.blob_id) == 1
+            assert blob.read(0, 5 * CHUNK) == b"a" * CHUNK

@@ -1,5 +1,5 @@
 """Tests for vectored metadata I/O: bulk DHT ops, frontier-BFS traversal,
-level-batched weaves, read repair, and the round counters they expose."""
+one-round weaves, read repair, and the round counters they expose."""
 
 from __future__ import annotations
 
@@ -315,7 +315,7 @@ class TestFrontierLookup:
 
 
 class TestLevelBatchedBuilder:
-    def test_build_flushes_one_put_round_per_level(self):
+    def test_build_stores_the_whole_tree_in_one_put_round(self):
         store = make_store()
         counting = CountingStore(store)
         builder = SegmentTreeBuilder(counting, CS)
@@ -328,25 +328,94 @@ class TestLevelBatchedBuilder:
             new_size=8 * CS,
         )
         assert builder.nodes_written == 15
-        assert builder.put_rounds == 4
-        assert counting.put_rounds == 4
+        assert builder.put_rounds == 1
+        assert counting.put_rounds == 1
         assert counting.scalar_puts == 0
 
-    def test_crash_mid_flush_never_orphans_a_parent(self):
-        """A builder dying between level flushes must leave children-before-
-        parents ordering: every written inner node's new-version children
-        already exist."""
-        store = make_store()
+    def test_crash_mid_round_leaves_every_published_snapshot_intact(
+        self, monkeypatch
+    ):
+        """A metadata provider that fails partway through a build's one
+        ``put_many`` round leaves some of the new version's nodes stored and
+        the rest missing.  The version is never published, every earlier
+        snapshot reads byte-identical, and a sibling op on another blob in
+        the same batch still publishes."""
+        from repro.core.client import AppendOp, OpStatus
 
-        class CrashingStore(CountingStore):
-            def put_many(self, items):
-                if self.put_rounds >= 2:  # die before the third level flush
-                    raise ServiceError("injected crash")
-                return super().put_many(items)
+        config = BlobSeerConfig(
+            num_data_providers=2,
+            num_metadata_providers=4,
+            chunk_size=CS,
+            client=ClientConfig(metadata_cache=False),
+        )
+        with BlobSeerDeployment(config) as deployment:
+            client = deployment.client()
+            blob, sibling = client.create_blob(), client.create_blob()
+            snapshots = [b""]
+            for index in range(3):
+                blob.append(bytes([65 + index]) * (3 * CS + 5))
+                snapshots.append(snapshots[-1] + bytes([65 + index]) * (3 * CS + 5))
+            sibling.append(b"s" * CS)
+            store = deployment.metadata_store
+            # The crashing provider is not the first group of the round, so
+            # the groups sorted before it are stored when it fails; it owns
+            # neither of the sibling's two new nodes.
+            sibling_keys = [
+                NodeKey(sibling.blob_id, 2, CS, CS),
+                NodeKey(sibling.blob_id, 2, 0, 2 * CS),
+            ]
+            crashed = next(
+                pid
+                for pid in store.provider_ids[1:]
+                if not any(pid in store.owners(key) for key in sibling_keys)
+            )
 
-        crashing = CrashingStore(store)
-        builder = SegmentTreeBuilder(crashing, CS)
-        with pytest.raises(ServiceError):
+            def crash(items):
+                raise ServiceError("injected crash mid-round")
+
+            monkeypatch.setattr(store.store_of(crashed), "put_many", crash)
+            results = client.submit_ops(
+                [
+                    AppendOp(blob.blob_id, b"x" * (8 * CS)),
+                    AppendOp(sibling.blob_id, b"t" * CS),
+                ]
+            )
+            assert results[0].status is OpStatus.FAILED
+            assert "injected crash" in str(results[0].error)
+            assert results[1].status is OpStatus.OK
+            assert sibling.read(0, 2 * CS) == b"s" * CS + b"t" * CS
+            landed = [
+                key
+                for pid in store.provider_ids
+                for key in store.store_of(pid).keys()
+                if key.blob_id == blob.blob_id and key.version == 4
+            ]
+            assert landed, "the crash should fall inside the round"
+            assert deployment.version_manager.latest_version(blob.blob_id) == 3
+            for version, expected in enumerate(snapshots):
+                assert blob.read(0, len(expected) + CS, version=version) == expected
+
+    def test_provider_dying_mid_flush_converges_under_scrub(self):
+        """A metadata provider that dies inside a build's one ``put_many``
+        round fails the build and leaves the ring under-replicated: the
+        groups sent before it reached only the survivors, and the provider
+        rejoins wiped.  After anti-entropy convergence every key is back on
+        its full live owner set, and every stored inner node's new-version
+        children are stored too."""
+        from repro.resilience import AntiEntropyScrubber
+
+        store = make_store(n=4, replication=2)
+        # The last group of the round: every key has an owner sorted before
+        # it, so the round stores at least one copy of each node.
+        victim = store.provider_ids[-1]
+
+        def die(items):
+            store.fail_provider(victim)
+            raise ConnectionError("provider died mid-round")
+
+        store.store_of(victim).put_many = die
+        builder = SegmentTreeBuilder(store, CS)
+        with pytest.raises(ConnectionError):
             builder.build(
                 blob_id=1,
                 version=1,
@@ -355,55 +424,14 @@ class TestLevelBatchedBuilder:
                 history=[],
                 new_size=8 * CS,
             )
-        written = {
-            key for pid in store.provider_ids for key in store.store_of(pid).keys()
-        }
-        for key in written:
-            node = store.get(key)
-            if isinstance(node, InnerNode):
-                for child in node.children():
-                    if child is not None and child.version == 1:
-                        assert child in written, "parent written before its child"
-
-    def test_provider_dying_mid_flush_converges_under_scrub(self):
-        """A metadata provider that dies between two ``put_many`` level
-        flushes leaves the ring under-replicated (later levels only reached
-        the surviving owners, earlier levels lost a replica when the dead
-        provider came back wiped).  After anti-entropy convergence every key
-        is back on its full live owner set — and the children-before-parents
-        flush ordering still holds transitively: no reachable parent
-        references a missing new-version child."""
-        from repro.resilience import AntiEntropyScrubber
-
-        store = make_store(n=4, replication=2)
-        victim = store.provider_ids[1]
-
-        class ProviderDiesMidFlush(CountingStore):
-            def put_many(self, items):
-                if self.put_rounds == 2:  # die between the 2nd and 3rd level
-                    store.fail_provider(victim)
-                return super().put_many(items)
-
-        builder = SegmentTreeBuilder(ProviderDiesMidFlush(store), CS)
-        builder.build(
-            blob_id=1,
-            version=1,
-            write_interval=Interval.of(0, 8 * CS),
-            new_fragments=fragments_for(1, 0, 8 * CS),
-            history=[],
-            new_size=8 * CS,
-        )
-        # The provider rejoins having lost its store: both its pre-crash
-        # copies and its share of the post-crash levels are now missing.
+        del store.store_of(victim).put_many
+        # The provider rejoins having lost its store.
         store.recover_provider(victim, lose_data=True)
         scrubber = AntiEntropyScrubber(store, batch_size=4)
         assert scrubber.under_replicated(), "crash should seed under-replication"
         assert scrubber.run_until_converged(max_passes=3) <= 3
         assert not scrubber.under_replicated()
-        # Ordering invariant, now against the *converged* ring: every
-        # reachable inner node's new-version children exist on every live
-        # owner — scrub repaired whole subtrees, never a parent before its
-        # children became fully replicated.
+        assert len(store.scan_keys()) == 15
         for key in store.scan_keys():
             node = store.get(key)
             if isinstance(node, InnerNode):
@@ -499,10 +527,45 @@ class TestRoundCounters:
             client = deployment.client()
             blob = client.create_blob()
             blob.append(b"x" * (8 * CS))
-            assert client.counters["metadata_put_rounds"] == 4
+            assert client.counters["metadata_put_rounds"] == 1
             blob.read(0, 8 * CS)
             assert client.counters["metadata_levels_fetched"] == 4
             assert client.counters["metadata_nodes_fetched"] == 15
+
+    def test_base_leaf_polls_count_refetches_of_a_withheld_leaf(self, monkeypatch):
+        config = BlobSeerConfig(
+            num_data_providers=2,
+            num_metadata_providers=4,
+            chunk_size=CS,
+            client=ClientConfig(metadata_cache=False),
+        )
+        with BlobSeerDeployment(config) as deployment:
+            client = deployment.client()
+            blob = client.create_blob()
+            # Unaligned appends: each merges the base leaf it extends.
+            for index in range(4):
+                blob.append(bytes([65 + index]) * 11)
+            assert client.counters["metadata_base_leaf_polls"] == 0
+            # The next append's base leaf is missing for two rounds, as if
+            # its writer were still storing it.
+            store = deployment.metadata_store
+            tail = NodeKey(blob.blob_id, 4, 2 * CS, CS)
+            owner = store.store_of(store.owners(tail)[0])
+            original = owner.get_many
+            withheld = [2]
+
+            def get_many(keys):
+                found = original(keys)
+                if tail in found and withheld[0]:
+                    withheld[0] -= 1
+                    del found[tail]
+                return found
+
+            monkeypatch.setattr(owner, "get_many", get_many)
+            blob.append(b"y" * CS)
+            assert client.counters["metadata_base_leaf_polls"] == 2
+            expected = b"".join(bytes([65 + index]) * 11 for index in range(4))
+            assert blob.read(0, 60) == expected + b"y" * CS
 
     def test_cold_lookup_rounds_bounded_by_depth_plus_one(self):
         config = BlobSeerConfig(

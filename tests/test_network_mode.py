@@ -230,26 +230,38 @@ class TestKilledProviderResilience:
 
 class TestWritePathRoundTrips:
     def test_rpcs_per_op_are_the_papers_write_protocol(self):
-        """A write pays allocate, push, register, history, one put per tree
-        level and publish; nothing else crosses the wire (no per-write
+        """A write pays allocate, push, register, history, one put per
+        metadata provider owning a node of its tree, and publish; nothing
+        else crosses the wire (no per-level put round, no per-write
         ``blob_info`` re-read, no report back to the provider manager)."""
         config = _network_config(num_version_managers=1, chunk_size=64 * 1024)
         with make_deployment(config) as dep:
             blob = dep.client().create_blob()
+            store = dep.metadata_store
 
             def requests_sent():
                 return sum(s["requests_sent"] for s in dep.rpc_stats().values())
 
-            counts = []
+            def expected(version):
+                owners = {
+                    pid
+                    for pid in store.provider_ids
+                    for key in store.store_of(pid).keys()
+                    if key.blob_id == blob.blob_id and key.version == version
+                }
+                return 5 + len(owners)
+
             for index in range(4):
                 before = requests_sent()
-                blob.append(bytes([65 + index]) * 64 * 1024)
-                counts.append(requests_sent() - before)
-            # The tree grows a level per doubling of the blob: 1, 2, 3, 3.
-            assert counts == [6, 7, 8, 8]
+                version = blob.append(bytes([65 + index]) * 64 * 1024)
+                sent = requests_sent() - before
+                assert sent == expected(version)
             before = requests_sent()
-            blob.write(0, b"z" * 64 * 1024)
-            assert requests_sent() - before == 8
+            version = blob.write(0, b"z" * 64 * 1024)
+            sent = requests_sent() - before
+            assert sent == expected(version)
+            # The overwrite's three new nodes span more than one provider.
+            assert sent > 6
 
 
 class TestNetworkedPlacement:
