@@ -5,7 +5,7 @@ sockets: one request per connection at a time, concurrency only by
 burning a thread per in-flight RPC (``parallel_map`` fan-out, 8 workers).
 PR 7 replaced it with a reactor client — one event loop owns every
 connection, outbound frames coalesce into single writes, and up to
-``net_max_inflight`` requests share a connection pipelined, demuxed by
+``max_inflight`` requests share a connection pipelined, demuxed by
 request id.  The blocking client is gone from ``repro.net``; E16 keeps a
 minimal blocking reference of its own (:class:`BlockingReferenceClient`)
 so the swap stays quantified and guarded:
@@ -33,6 +33,7 @@ so the swap stays quantified and guarded:
 from __future__ import annotations
 
 import concurrent.futures as cf
+import contextlib
 import itertools
 import json
 import os
@@ -55,7 +56,7 @@ from _helpers import KB, save_table
 #: Requests per measured batch — big enough to amortise connect and fill a
 #: 64-deep window three times over.
 BATCH_N = 192
-#: Best-of rounds per client: per-op floors, not scheduler noise.
+#: Interleaved rounds, best per client: per-op floors, not scheduler noise.
 ROUNDS = 3
 #: The acceptance bar: pipelined window-64 vs the blocking 8-way
 #: fan-out, on the protocol-floor workload (measured ~2.7-3.6x locally).
@@ -145,54 +146,59 @@ def _run_batch(client, calls, fanout: int) -> None:
             client.call(method, params)
 
 
-def _best_per_op_us(client, calls, fanout: int = 1) -> float:
-    best = None
-    for _ in range(ROUNDS):
-        started = time.perf_counter()
-        _run_batch(client, calls, fanout)
-        elapsed = time.perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return best / len(calls) * 1e6
+def _per_op_us(client, calls, fanout: int) -> float:
+    started = time.perf_counter()
+    _run_batch(client, calls, fanout)
+    return (time.perf_counter() - started) / len(calls) * 1e6
 
 
 def run_window_sweep() -> ResultTable:
     table = ResultTable(
         "E16a: per-op RPC cost — blocking reference vs pipelined reactor "
-        f"({BATCH_N}-request batches, best of {ROUNDS})",
+        f"({BATCH_N}-request batches, best of {ROUNDS} interleaved)",
         ["client", "workload", "per_op_us", "ops_per_s", "connections"],
     )
     proc, address = _spawn_meta_server()
+    clients = (
+        ("blocking-sequential", lambda: BlockingReferenceClient(address), 1),
+        ("blocking-fanout8", lambda: BlockingReferenceClient(address), 8),
+        ("reactor-w1", lambda: RpcClient([address], max_inflight=1), 1),
+        ("reactor-w8", lambda: RpcClient([address], max_inflight=8), 1),
+        ("reactor-w64", lambda: RpcClient([address], max_inflight=64), 1),
+        (
+            "reactor-w64-c2",
+            lambda: RpcClient([address], max_inflight=64, connections_per_server=2),
+            1,
+        ),
+    )
     try:
-        for workload_name in ("ping", "put-8KiB"):
-            calls = _workload(workload_name)
-            for label, make, fanout in (
-                ("blocking-sequential", lambda: BlockingReferenceClient(address), 1),
-                ("blocking-fanout8", lambda: BlockingReferenceClient(address), 8),
-                ("reactor-w1", lambda: RpcClient([address], max_inflight=1), 1),
-                ("reactor-w8", lambda: RpcClient([address], max_inflight=8), 1),
-                ("reactor-w64", lambda: RpcClient([address], max_inflight=64), 1),
-                (
-                    "reactor-w64-c2",
-                    lambda: RpcClient(
-                        [address], max_inflight=64, connections_per_server=2
-                    ),
-                    1,
-                ),
-            ):
-                with make() as client:
-                    per_op = _best_per_op_us(client, calls, fanout)
+        # Every client stays open for the whole sweep and each round times
+        # one batch per client in turn, so a host-speed shift hits the
+        # clients alike instead of becoming their ratio.
+        with contextlib.ExitStack() as stack:
+            opened = [
+                (label, stack.enter_context(make()), fanout)
+                for label, make, fanout in clients
+            ]
+            for workload_name in ("ping", "put-8KiB"):
+                calls = _workload(workload_name)
+                best = {label: float("inf") for label, _, _ in opened}
+                for _ in range(ROUNDS):
+                    for label, client, fanout in opened:
+                        best[label] = min(best[label], _per_op_us(client, calls, fanout))
+                for label, client, fanout in opened:
                     connections = (
                         sum(s["connections"] for s in client.stats().values())
                         if isinstance(client, RpcClient)
                         else fanout
                     )
-                table.add(
-                    client=label,
-                    workload=workload_name,
-                    per_op_us=per_op,
-                    ops_per_s=1e6 / per_op,
-                    connections=connections,
-                )
+                    table.add(
+                        client=label,
+                        workload=workload_name,
+                        per_op_us=best[label],
+                        ops_per_s=1e6 / best[label],
+                        connections=connections,
+                    )
     finally:
         proc.terminate()
         proc.wait()

@@ -15,8 +15,9 @@ evaluation relies on:
   streaming I/O and data-location exposure.
 * :mod:`repro.mapreduce` — a small locality-aware MapReduce engine used to
   reproduce the Hadoop experiments.
-* :mod:`repro.baselines` — centralised-metadata, HDFS-like and lock-based
-  comparison systems.
+* :mod:`repro.baselines` — the HDFS-like comparison file system; the
+  centralised-metadata and lock-based baselines are simulator
+  configurations (``num_metadata_providers=1``, ``SimClient.write_locked``).
 * :mod:`repro.qos` — monitoring, GloBeM-style behaviour modelling and
   feedback-driven reconfiguration.
 * :mod:`repro.resilience` — durability & recovery: per-shard write-ahead

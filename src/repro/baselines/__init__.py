@@ -1,24 +1,18 @@
 """Comparison baselines used by the paper's experiments.
 
-* :class:`CentralMetaBlobStore` — GoogleFS-flavoured design with a single
-  metadata server and no versioning (isolates BlobSeer's metadata
-  decentralisation).
 * :class:`HdfsLikeFileSystem` — write-once, single-writer, centralised
   namespace file system (the HDFS stand-in of the Hadoop experiments).
-* :class:`LockBasedBlobStore` — per-blob reader/writer locking instead of
-  versioning-based concurrency control (isolates the third design pillar).
+
+The centralised-metadata (E5) and lock-based (E9) baselines are simulator
+configurations, not separate stores: a :class:`~repro.sim.SimulatedBlobSeer`
+with ``num_metadata_providers=1``, and
+:meth:`~repro.sim.protocols.SimClient.write_locked` / ``read_locked``.
 """
 
-from .central_meta import CentralMetaBlobStore, CentralMetadataServer
 from .hdfs_like import HdfsError, HdfsLikeFileSystem, HdfsWriter
-from .lock_based import LockBasedBlobStore, ReadWriteLock
 
 __all__ = [
-    "CentralMetaBlobStore",
-    "CentralMetadataServer",
     "HdfsError",
     "HdfsLikeFileSystem",
     "HdfsWriter",
-    "LockBasedBlobStore",
-    "ReadWriteLock",
 ]

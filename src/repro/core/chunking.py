@@ -11,10 +11,9 @@ whichever chunk fragments the per-version segment tree exposes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .interval import Interval, iter_chunks
-from .types import ChunkKey
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,11 +96,3 @@ def chunk_count(size: int, chunk_size: int) -> int:
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
     return -(-size // chunk_size)
-
-
-def iter_chunk_keys(
-    blob_id: int, write_id: int, offset: int, size: int, chunk_size: int
-) -> Iterator[ChunkKey]:
-    """Yield the chunk keys a write of ``(offset, size)`` creates under ``write_id``."""
-    for part in iter_chunks(Interval.of(offset, size), chunk_size):
-        yield ChunkKey(blob_id=blob_id, write_id=write_id, offset=part.start)

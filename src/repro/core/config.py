@@ -89,12 +89,6 @@ class BlobSeerConfig:
     #: Frame codec: ``"json"`` always works; ``"msgpack"`` needs the
     #: optional msgpack package and fails fast when it is absent.
     net_codec: str = "json"
-    #: Most requests kept in flight per pipelined connection; a fan-out
-    #: beyond the window queues on the client side.
-    net_max_inflight: int = 64
-    #: Connections the reactor may open per server address (opened on
-    #: demand as load arrives).
-    net_connections_per_server: int = 1
     #: Seconds between ``ClusterMonitor`` health probes of the networked
     #: coordinator shards and their standbys.
     net_heartbeat_interval: float = 0.25
@@ -204,10 +198,6 @@ def validate_config(config: BlobSeerConfig) -> None:
         raise InvalidConfigError(
             f"unknown net_codec {config.net_codec!r}; expected 'json' or 'msgpack'"
         )
-    if config.net_max_inflight < 1:
-        raise InvalidConfigError("net_max_inflight must be >= 1")
-    if config.net_connections_per_server < 1:
-        raise InvalidConfigError("net_connections_per_server must be >= 1")
     if config.net_heartbeat_interval <= 0:
         raise InvalidConfigError("net_heartbeat_interval must be > 0")
     if config.net_failover_suspect_after < 1:

@@ -11,7 +11,7 @@ the primitives in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -91,25 +91,8 @@ class Interval:
             pieces.append(Interval(other.end, self.end))
         return tuple(pieces)
 
-    def union_hull(self, other: "Interval") -> "Interval":
-        """Smallest interval covering both (not a strict union)."""
-        if self.empty:
-            return other
-        if other.empty:
-            return self
-        return Interval(min(self.start, other.start), max(self.end, other.end))
-
     def shift(self, delta: int) -> "Interval":
         return Interval(self.start + delta, self.end + delta)
-
-    # -- chunk alignment ------------------------------------------------------
-    def align_to(self, chunk_size: int) -> "Interval":
-        """Expand outwards to chunk boundaries."""
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
-        start = (self.start // chunk_size) * chunk_size
-        end = -(-self.end // chunk_size) * chunk_size
-        return Interval(start, max(start, end))
 
     def split_at(self, boundaries: Sequence[int]) -> Tuple["Interval", ...]:
         """Split the interval at every boundary falling strictly inside it."""
@@ -157,22 +140,6 @@ def covers(cover: Iterable[Interval], target: Interval) -> bool:
     return remaining.empty
 
 
-def complement_within(cover: Iterable[Interval], universe: Interval) -> List[Interval]:
-    """Return the parts of ``universe`` not covered by ``cover``."""
-    gaps: List[Interval] = []
-    cursor = universe.start
-    for iv in normalize(cover):
-        clipped = iv.intersection(universe)
-        if clipped.empty:
-            continue
-        if clipped.start > cursor:
-            gaps.append(Interval(cursor, clipped.start))
-        cursor = max(cursor, clipped.end)
-    if cursor < universe.end:
-        gaps.append(Interval(cursor, universe.end))
-    return gaps
-
-
 def iter_chunks(interval: Interval, chunk_size: int) -> Iterator[Interval]:
     """Yield the chunk-aligned sub-intervals that tile ``interval``.
 
@@ -189,17 +156,6 @@ def iter_chunks(interval: Interval, chunk_size: int) -> Iterator[Interval]:
         end = min(boundary, interval.end)
         yield Interval(cursor, end)
         cursor = end
-
-
-def chunk_indices(interval: Interval, chunk_size: int) -> range:
-    """Return the range of chunk indices touched by ``interval``."""
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    if interval.empty:
-        return range(0)
-    first = interval.start // chunk_size
-    last = (interval.end - 1) // chunk_size
-    return range(first, last + 1)
 
 
 def next_power_of_two(value: int) -> int:

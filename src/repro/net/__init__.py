@@ -18,7 +18,7 @@ Layers, bottom up:
 * :mod:`repro.net.wire` — value serialisation for the protocol's types
   (chunk/node keys, tickets, plans, tree nodes) and its exceptions;
 * :mod:`repro.net.rpc` — the one RPC client, ``RpcClient``: an asyncio
-  event loop on a daemon thread pipelines up to ``net_max_inflight``
+  event loop on a daemon thread pipelines up to ``max_inflight`` (64)
   requests per connection, demuxed by request id into per-request
   futures, behind a blocking ``call`` with connect/request timeouts and
   retry-over-a-server-list failover with exponential backoff (the msgbox

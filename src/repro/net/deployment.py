@@ -215,8 +215,6 @@ class ProcessDeployment:
             backoff_base=self.config.net_backoff_base,
             backoff_max=self.config.net_backoff_max,
             codec=self.config.net_codec,
-            max_inflight=self.config.net_max_inflight,
-            connections_per_server=self.config.net_connections_per_server,
         )
         self._rpcs.append(client)
         return client

@@ -814,7 +814,7 @@ async def _amain(args: argparse.Namespace) -> None:
         host=args.host,
         port=args.port,
         codec=config.net_codec,
-        max_inflight_per_connection=max(64, config.net_max_inflight),
+        max_inflight_per_connection=64,
     )
     await server.start()
 

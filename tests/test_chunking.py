@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.chunking import (
     chunk_count,
-    iter_chunk_keys,
     reassemble,
     split_payload,
 )
@@ -101,8 +100,3 @@ class TestCounting:
             chunk_count(-1, 8)
         with pytest.raises(ValueError):
             chunk_count(10, 0)
-
-    def test_iter_chunk_keys(self):
-        keys = list(iter_chunk_keys(blob_id=7, write_id=3, offset=5, size=20, chunk_size=8))
-        assert [k.offset for k in keys] == [5, 8, 16, 24]
-        assert all(k.blob_id == 7 and k.write_id == 3 for k in keys)

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.interval import (
     Interval,
-    chunk_indices,
-    complement_within,
     covers,
     iter_chunks,
     next_power_of_two,
@@ -81,14 +79,8 @@ class TestAlgebra:
     def test_subtract_disjoint_returns_self(self):
         assert Interval(0, 3).subtract(Interval(5, 9)) == (Interval(0, 3),)
 
-    def test_union_hull(self):
-        assert Interval(0, 3).union_hull(Interval(8, 10)) == Interval(0, 10)
-
     def test_shift(self):
         assert Interval(2, 5).shift(10) == Interval(12, 15)
-
-    def test_align_to_chunk(self):
-        assert Interval(5, 17).align_to(8) == Interval(0, 24)
 
     def test_split_at(self):
         assert Interval(0, 10).split_at([3, 7, 15]) == (
@@ -124,16 +116,6 @@ class TestCollections:
         assert covers([Interval(0, 5), Interval(5, 12)], Interval(2, 10))
         assert not covers([Interval(0, 5), Interval(6, 12)], Interval(2, 10))
 
-    def test_complement_within(self):
-        gaps = complement_within([Interval(2, 4), Interval(6, 8)], Interval(0, 10))
-        assert gaps == [Interval(0, 2), Interval(4, 6), Interval(8, 10)]
-
-    @given(st.lists(ivals(), max_size=10), ivals())
-    def test_complement_and_cover_partition_universe(self, pieces, universe):
-        gaps = complement_within(pieces, universe)
-        clipped = [p.intersection(universe) for p in pieces]
-        assert total_size(gaps) + total_size(clipped) == universe.size
-
 
 class TestChunkHelpers:
     def test_iter_chunks_unaligned(self):
@@ -142,10 +124,6 @@ class TestChunkHelpers:
 
     def test_iter_chunks_exact(self):
         assert list(iter_chunks(Interval(8, 24), 8)) == [Interval(8, 16), Interval(16, 24)]
-
-    def test_chunk_indices(self):
-        assert list(chunk_indices(Interval(5, 22), 8)) == [0, 1, 2]
-        assert list(chunk_indices(Interval(0, 0), 8)) == []
 
     @given(ivals(), st.integers(min_value=1, max_value=64))
     def test_iter_chunks_tiles_exactly(self, iv, chunk):
