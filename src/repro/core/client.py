@@ -138,7 +138,7 @@ class _Pending:
         self.wait_seconds = 0.0
 
     def add_net(self, net: Tuple[float, float, float]) -> None:
-        """Fold one drained (connect, send, wait) triple into this op."""
+        """Fold one taken (connect, send, wait) triple into this op."""
         self.connect_seconds += net[0]
         self.send_seconds += net[1]
         self.wait_seconds += net[2]
@@ -282,7 +282,8 @@ class BlobSeerClient:
         transport = self._transport
         started = time.perf_counter()
         # Discard any socket time a previous batch (or out-of-band call on
-        # this thread) left in the transport's thread-local accumulators.
+        # this thread) left in this thread's network tally: from here on,
+        # every take belongs to an op of this batch.
         transport.take_net_timings()
         pending = [_Pending(index, op) for index, op in enumerate(ops)]
 
@@ -420,7 +421,7 @@ class BlobSeerClient:
                 self._fail(p, exc)
             finally:
                 # Setup runs on this thread op by op, so whatever socket
-                # time the proxies accumulated since the last drain is this
+                # time the proxies accumulated since the last take is this
                 # operation's control-plane traffic.
                 p.add_net(transport.take_net_timings())
 

@@ -170,13 +170,6 @@ class CoordinatorMembership:
         with self._lock:
             return self._index_of[self._ring.owner(_blob_key(blob_id))]
 
-    def pending_owner_index(self, blob_id: BlobId) -> int:
-        """Owner under the in-flight transition's ring (migration targets)."""
-        with self._lock:
-            if self._pending_ring is None:
-                raise ServiceError("no membership transition is in flight")
-            return self._index_of[self._pending_ring.owner(_blob_key(blob_id))]
-
     def successor_index(self, index: int) -> int:
         """Next non-retired slot after ``index`` (standby host topology)."""
         with self._lock:

@@ -186,8 +186,12 @@ class Transport:
     def _control_round(
         self, call: ControlCall
     ) -> Tuple[Any, float, Tuple[float, float, float]]:
+        # The round's requests are resolved on the thread that runs it, so
+        # the take after ``run`` is exactly this round's network time; the
+        # take before discards what an earlier job left on a pool worker.
+        self.take_net_timings()
         value = call.run()
-        return value, time.perf_counter(), (0.0, 0.0, 0.0)
+        return value, time.perf_counter(), self.take_net_timings()
 
     def transfer(
         self, pushes: Sequence[ChunkPush], fetches: Sequence[ChunkFetch]
@@ -196,12 +200,13 @@ class Transport:
         raise NotImplementedError
 
     def take_net_timings(self) -> Tuple[float, float, float]:
-        """Drain the calling thread's accumulated (connect, send, wait) time.
+        """Return and reset the calling thread's (connect, send, wait) tally.
 
         In-process transports return zeros; a networked transport returns
-        the socket time its proxy calls accumulated since the last drain,
-        which is how the batch engine attributes network cost to individual
-        operations without the transport knowing protocol phases.
+        the RPC layer's per-thread tally (:func:`repro.net.rpc.take_timings`):
+        the socket time of every request this thread resolved since its last
+        take.  That is how the batch engine attributes network cost to
+        individual operations without the transport knowing protocol phases.
         """
         return (0.0, 0.0, 0.0)
 

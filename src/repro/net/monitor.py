@@ -147,12 +147,6 @@ class ClusterMonitor:
         merged.update(extra)
         self.watch(role, index, address, **merged)
 
-    def unwatch(self, role: str, index: int) -> None:
-        with self._lock:
-            target = self._targets.pop((role, index), None)
-        if target is not None:
-            target.client.close()
-
     # -- the probe loop ---------------------------------------------------------------
     def start(self) -> None:
         if self._thread is not None:

@@ -5,7 +5,8 @@ The batch engine never talks to sockets directly — it calls
 through closures handed to ``transport.control``.  In networked mode those
 attributes are the proxies below, so the *same client code* drives the
 remote processes; the network cost lands inside the proxy methods and is
-attributed to operations through :func:`repro.net.rpc.drain_timings`.
+attributed to operations through the calling thread's tally
+(:func:`repro.net.rpc.take_timings`).
 
 * :class:`RemoteKeyValueStore` speaks one DHT store node's method surface
   over an :class:`~repro.net.rpc.RpcClient`; the deployment hands these

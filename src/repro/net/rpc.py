@@ -23,21 +23,16 @@ connection error and each blocked caller resumes its own sweep on the next
 address — nothing is lost, nothing completes twice (a late or duplicate
 response finds no pending id and is dropped).
 
-Network time is attributed **per request**: each request carries its own
-``(connect, send, wait)`` stamps on the future (``RpcFuture.timing()``),
-where ``connect`` is the connection handshake *amortised over the
-requests that waited for it*, ``send`` is client-side queueing plus the
-write, and ``wait`` is wire plus server time.  For drain-based callers the
-stamps also land in a **keyed timing ledger**: every request gets a
-process-unique timing key, charged by whichever thread resolves the
-future.  Each caller uses one drain style: a round that knows its request
-set opens a :func:`timing_scope`, which collects the keys of every request
-submitted on the thread inside its block and drains *exactly those* —
-regardless of which thread resolved them — so interleaved ``call_many``
-batches cannot attribute a round's seconds to the wrong op; a caller that
-runs its requests on its own thread (the batch engine's
-``take_net_timings``) calls :func:`drain_timings` with no arguments, which
-returns and resets the charges the current thread made.
+Network time is tallied **per thread**: each request's ``(connect,
+send, wait)`` seconds — ``connect`` is the connection handshake
+*amortised over the requests that waited for it*, ``send`` is client-side
+queueing plus the write, ``wait`` is wire plus server time — are added to
+the tally of the thread that resolves it (the first
+:meth:`RpcFuture.result`, or :meth:`RpcClient.call_many` for each reply).
+Every request is resolved on the thread that submitted it, so
+:func:`take_timings` — return the calling thread's tally and reset it —
+gives a caller exactly the network time of the requests it made since its
+last take.
 
 Requests additionally carry the active :class:`~repro.obs.trace.TraceContext`
 (when one is set) as a compact frame-envelope pair, and the reactor feeds
@@ -53,8 +48,7 @@ import socket
 import threading
 import time
 from concurrent.futures import Future as ConcurrentFuture
-from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import wire
 from ..obs import metrics as obs_metrics
@@ -65,9 +59,7 @@ __all__ = [
     "NetworkError",
     "RpcClient",
     "RpcFuture",
-    "TimingScope",
-    "drain_timings",
-    "timing_scope",
+    "take_timings",
 ]
 
 
@@ -89,104 +81,27 @@ def _jittered(delay: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The timing ledger: keyed (connect, send, wait) charges
+# The per-thread timing tally
 # ---------------------------------------------------------------------------
-#
-# Each request gets a process-unique *timing key* at submit time; the thread
-# that resolves its future charges the stamps under that key.  Two drain
-# styles, one per kind of caller:
-#
-# * ``drain_timings()`` — pop every charge made *by this thread* since the
-#   last drain (the batch engine's ``take_net_timings``).
-# * ``drain_timings(keys)`` / ``TimingScope.drain()`` — pop exactly the named
-#   keys, wherever they were charged.  Rounds that know their request set use
-#   this, so a concurrent batch resolving futures on a shared worker thread
-#   cannot have its seconds drained into another op's row.
-
-_ledger_lock = threading.Lock()
-#: timing key -> (charging thread ident, connect, send, wait)
-_keyed_charges: Dict[int, Tuple[int, float, float, float]] = {}
-_timing_keys = itertools.count(1)
-_scopes = threading.local()
 
 
-def _new_timing_key() -> int:
-    """Allocate a timing key, registering it with this thread's open scopes."""
-    key = next(_timing_keys)
-    for scope in getattr(_scopes, "stack", ()):
-        scope.keys.add(key)
-    return key
+class _Tally(threading.local):
+    #: (connect, send, wait) seconds charged on this thread since its last take.
+    seconds: Tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
-def _charge(key: int, connect: float, send: float, wait: float) -> None:
-    ident = threading.get_ident()
-    with _ledger_lock:
-        prior = _keyed_charges.get(key)
-        if prior is None:
-            # Bound the ledger for callers that never drain: evict the
-            # oldest charges (dicts iterate in insertion order) once the
-            # table is clearly stale.
-            while len(_keyed_charges) >= 65536:
-                _keyed_charges.pop(next(iter(_keyed_charges)))
-            _keyed_charges[key] = (ident, connect, send, wait)
-        else:
-            _keyed_charges[key] = (
-                ident,
-                prior[1] + connect,
-                prior[2] + send,
-                prior[3] + wait,
-            )
+_tally = _Tally()
 
 
-def drain_timings(keys: Optional[Iterable[int]] = None) -> Tuple[float, float, float]:
-    """Return and reset accumulated (connect, send, wait) seconds.
-
-    With no ``keys``: everything charged by the *current thread*.  With a
-    key set: exactly those requests' charges, from any thread; charges not
-    yet made (unresolved futures) simply contribute nothing.
-    """
-    connect = send = wait = 0.0
-    with _ledger_lock:
-        if keys is None:
-            ident = threading.get_ident()
-            keys = [k for k, v in _keyed_charges.items() if v[0] == ident]
-        for key in keys:
-            entry = _keyed_charges.pop(key, None)
-            if entry is not None:
-                connect += entry[1]
-                send += entry[2]
-                wait += entry[3]
-    return (connect, send, wait)
+def _charge(connect: float, send: float, wait: float) -> None:
+    c, s, w = _tally.seconds
+    _tally.seconds = (c + connect, s + send, w + wait)
 
 
-class TimingScope:
-    """Collects the timing keys of requests submitted within its block."""
-
-    __slots__ = ("keys",)
-
-    def __init__(self) -> None:
-        self.keys: Set[int] = set()
-
-    def drain(self) -> Tuple[float, float, float]:
-        return drain_timings(self.keys)
-
-
-@contextmanager
-def timing_scope() -> Iterator[TimingScope]:
-    """Track every request submitted on this thread inside the block.
-
-    ``scope.drain()`` afterwards pops exactly those requests' charges,
-    immune to interleaving from other batches sharing the worker threads.
-    """
-    scope = TimingScope()
-    stack = getattr(_scopes, "stack", None)
-    if stack is None:
-        stack = _scopes.stack = []
-    stack.append(scope)
-    try:
-        yield scope
-    finally:
-        stack.remove(scope)
+def take_timings() -> Tuple[float, float, float]:
+    """Return and reset the calling thread's (connect, send, wait) tally."""
+    seconds, _tally.seconds = _tally.seconds, (0.0, 0.0, 0.0)
+    return seconds
 
 
 # -- reactor-side metrics ----------------------------------------------------
@@ -462,41 +377,29 @@ class RpcFuture:
     ``result()`` blocks until the request completes a full
     sweep-with-failover cycle: it returns the decoded result, raises the
     decoded *typed* application error, or raises :class:`NetworkError`
-    when every server failed.  ``timing()`` is this request's
-    ``(connect, send, wait)`` seconds, valid once ``result()`` returned
-    (or raised an application error — the wire was still crossed).
+    when every server failed.
     """
 
-    def __init__(
-        self,
-        cfuture: ConcurrentFuture,
-        default_timeout: float,
-        timing_key: int,
-    ):
+    def __init__(self, cfuture: ConcurrentFuture, default_timeout: float):
         self._cfuture = cfuture
         self._default_timeout = default_timeout
-        self._timing = (0.0, 0.0, 0.0)
-        self._accumulated = False
-        #: Ledger key the stamps are charged under (see ``timing_scope``).
-        self.timing_key = timing_key
+        self._charged = False
 
     def result(self, timeout: Optional[float] = None) -> Any:
         response, timing = self._cfuture.result(
             timeout if timeout is not None else self._default_timeout
         )
-        self._timing = timing
-        if not self._accumulated:
-            # Ledger attribution for drain-based callers (control rounds):
-            # charged once, under this request's key.
-            self._accumulated = True
-            _charge(self.timing_key, *timing)
+        # Invariant: each request is resolved on the thread that submitted
+        # it, so this charges the submitter's tally (see take_timings) —
+        # once, even when result() is called again, and also when the reply
+        # is an application error: the wire was still crossed.
+        if not self._charged:
+            self._charged = True
+            _charge(*timing)
         error = response.get("error")
         if error is not None:
             raise wire.decode(error)
         return wire.decode(response.get("result"))
-
-    def timing(self) -> Tuple[float, float, float]:
-        return self._timing
 
     def done(self) -> bool:
         return self._cfuture.done()
@@ -657,7 +560,7 @@ class RpcClient:
             message[wire.TRACE_KEY] = wire.encode_trace(trace)
         frame = encode_frame(message, codec=self.codec)
         cfuture = get_reactor().submit(self._call_async(method, request_id, frame))
-        return RpcFuture(cfuture, self._result_cap, _new_timing_key())
+        return RpcFuture(cfuture, self._result_cap)
 
     def call(self, method: str, params: Optional[Dict[str, Any]] = None) -> Any:
         """Invoke ``method`` on the first reachable server; raise decoded errors."""
@@ -694,19 +597,14 @@ class RpcClient:
             if envelope is not None:
                 message[wire.TRACE_KEY] = envelope
             prepared.append(
-                (
-                    method,
-                    request_id,
-                    encode_frame(message, codec=self.codec),
-                    _new_timing_key(),
-                )
+                (method, request_id, encode_frame(message, codec=self.codec))
             )
 
         async def run_all():
             return await asyncio.gather(
                 *(
                     self._call_async(method, request_id, frame)
-                    for method, request_id, frame, _ in prepared
+                    for method, request_id, frame in prepared
                 ),
                 return_exceptions=True,
             )
@@ -715,7 +613,7 @@ class RpcClient:
             return []
         outcomes = get_reactor().submit(run_all()).result(self._result_cap)
         results: List[Any] = []
-        for outcome, (_, _, _, timing_key) in zip(outcomes, prepared):
+        for outcome in outcomes:
             if isinstance(outcome, BaseException):
                 failure: Exception = (
                     outcome
@@ -724,7 +622,7 @@ class RpcClient:
                 )
             else:
                 response, timing = outcome
-                _charge(timing_key, *timing)
+                _charge(*timing)
                 error = response.get("error")
                 if error is None:
                     results.append(wire.decode(response.get("result")))

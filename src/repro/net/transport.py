@@ -9,10 +9,15 @@ waiting on anything, so a whole batch's chunks are on the wire in the
 order the plan produced them and responses are collected as they demux —
 no worker thread per RPC.  Control-plane closures still run on
 ``parallel_map`` worker threads (the thread is a cheap *waiter* now; the
-RPCs inside pipeline over the shared reactor connections), and their
-network cost is recovered per call from the RPC layer's keyed timing
-ledger, so the batch engine's phase timings stay honest without it
-knowing which transport it runs on.
+RPCs inside pipeline over the shared reactor connections).
+
+Network time comes from one place: the RPC layer's per-thread tally
+(:func:`~repro.net.rpc.take_timings`).  Every request is resolved on the
+thread that submitted it, so ``take_net_timings`` hands the batch engine
+its own thread's seconds, a control round's take is that round's, and
+``transfer`` takes the tally once per job as it collects the job's
+replies — the batch engine's phase timings stay honest without it knowing
+which transport it runs on.
 
 Failure handling is the msgbox idiom at two levels: the per-service
 :class:`~repro.net.rpc.RpcClient` retries over its address list with
@@ -31,12 +36,11 @@ from ..core.errors import ChunkNotFoundError, ProviderUnavailableError
 from ..core.transport import (
     ChunkFetch,
     ChunkPush,
-    ControlCall,
     FetchOutcome,
     PushOutcome,
     Transport,
 )
-from .rpc import NetworkError, RpcFuture, drain_timings, timing_scope
+from .rpc import NetworkError, RpcFuture, take_timings
 
 #: Failures that mean "this replica/hop is unavailable", not "the store
 #: rejected the operation": walk to the next provider.
@@ -61,57 +65,39 @@ class NetworkTransport(Transport):
     def for_deployment(cls, deployment, **kwargs: Any) -> "NetworkTransport":
         return cls(deployment.provider_rpcs, **kwargs)
 
-    # -- control -------------------------------------------------------------------
-    def _control_round(
-        self, call: ControlCall
-    ) -> Tuple[Any, float, Tuple[float, float, float]]:
-        # Each round collects the timing keys of exactly the requests its
-        # closure submits (a ``timing_scope``), then drains those keys —
-        # wherever their futures were resolved.  A concurrent batch sharing
-        # these pool workers can no longer donate or steal seconds
-        # (drain-order attribution drift).  The threads only *wait*: the
-        # RPCs inside each closure pipeline over the reactor's shared
-        # per-server connections.
-        drain_timings()  # clear stale residue left on this pool worker
-        with timing_scope() as scope:
-            value = call.run()
-        return value, time.perf_counter(), scope.drain()
-
     def take_net_timings(self) -> Tuple[float, float, float]:
-        return drain_timings()
+        return take_timings()
 
     # -- data plane ----------------------------------------------------------------
     def transfer(
         self, pushes: Sequence[ChunkPush], fetches: Sequence[ChunkFetch]
     ) -> Tuple[List[PushOutcome], List[FetchOutcome]]:
-        # Per-request timing rides each outcome (summed from the futures it
-        # waited on); the scope collects exactly this transfer's request
-        # keys so the final discard cannot wipe charges that belong to a
-        # concurrent batch sharing this thread — and the same seconds are
-        # not *also* handed to the engine's next take_net_timings() drain.
+        # Each job's network seconds ride its outcome: its collect resolves
+        # only its own futures, then takes this thread's tally.  So the
+        # transfer leaves nothing in the tally for the engine's next
+        # take_net_timings() to count twice (and the engine takes its own
+        # before calling, so the first job inherits nothing).
         start = time.perf_counter()
-        with timing_scope() as scope:
-            # Submit phase: every push replica and every fetch's first hop
-            # goes onto the wire (window permitting) before anything blocks.
-            push_futs: List[List[Tuple[str, Optional[RpcFuture]]]] = [
-                [(pid, self._submit_put(pid, job)) for pid in job.providers]
-                for job in pushes
-            ]
-            fetch_futs: List[Tuple[int, Optional[RpcFuture]]] = []
-            for job in fetches:
-                hop, fut = self._submit_get_from(job, 0)
-                fetch_futs.append((hop, fut))
-            # Collect phase, in plan order: replica results arrive demuxed in
-            # any order but providers_stored keeps the job's replica ordering.
-            push_outcomes = [
-                self._collect_push(job, futs, start)
-                for job, futs in zip(pushes, push_futs)
-            ]
-            fetch_outcomes = [
-                self._collect_fetch(job, hop, fut, start)
-                for job, (hop, fut) in zip(fetches, fetch_futs)
-            ]
-        scope.drain()
+        # Submit phase: every push replica and every fetch's first hop goes
+        # onto the wire (window permitting) before anything blocks.
+        push_futs: List[List[Tuple[str, Optional[RpcFuture]]]] = [
+            [(pid, self._submit_put(pid, job)) for pid in job.providers]
+            for job in pushes
+        ]
+        fetch_futs: List[Tuple[int, Optional[RpcFuture]]] = []
+        for job in fetches:
+            hop, fut = self._submit_get_from(job, 0)
+            fetch_futs.append((hop, fut))
+        # Collect phase, in plan order: replica results arrive demuxed in any
+        # order but providers_stored keeps the job's replica ordering.
+        push_outcomes = [
+            self._collect_push(job, futs, start)
+            for job, futs in zip(pushes, push_futs)
+        ]
+        fetch_outcomes = [
+            self._collect_fetch(job, hop, fut, start)
+            for job, (hop, fut) in zip(fetches, fetch_futs)
+        ]
         return push_outcomes, fetch_outcomes
 
     def _submit_put(self, pid: str, job: ChunkPush) -> Optional[RpcFuture]:
@@ -144,7 +130,6 @@ class NetworkTransport(Transport):
     ) -> PushOutcome:
         outcome = PushOutcome(job=job)
         stored: List[str] = []
-        net = [0.0, 0.0, 0.0]
         for pid, fut in futs:
             if fut is None:
                 continue
@@ -159,44 +144,34 @@ class NetworkTransport(Transport):
             except Exception as exc:  # defensive: store-level failures stay per-job
                 if outcome.error is None:
                     outcome.error = exc
-            timing = fut.timing()
-            net[0] += timing[0]
-            net[1] += timing[1]
-            net[2] += timing[2]
         outcome.replicas_stored = len(stored)
         outcome.providers_stored = tuple(stored)
         # Pipelined jobs overlap, so per-job elapsed is measured from the
         # shared submit point — an upper bound per job, honest in total.
         outcome.elapsed = time.perf_counter() - start
-        outcome.connect_seconds, outcome.send_seconds, outcome.wait_seconds = net
+        outcome.connect_seconds, outcome.send_seconds, outcome.wait_seconds = (
+            take_timings()
+        )
         return outcome
 
     def _collect_fetch(
         self, job: ChunkFetch, hop: int, fut: Optional[RpcFuture], start: float
     ) -> FetchOutcome:
         outcome = FetchOutcome(job=job)
-        net = [0.0, 0.0, 0.0]
         last_error: Exception = ProviderUnavailableError(
             job.providers[0] if job.providers else "?"
         )
         while fut is not None:
             try:
                 outcome.payload = fut.result()
+                break
             except _HOP_ERRORS + (ChunkNotFoundError,) as exc:
                 last_error = exc
-                timing = fut.timing()
-                net[0] += timing[0]
-                net[1] += timing[1]
-                net[2] += timing[2]
                 hop, fut = self._submit_get_from(job, hop + 1)
-                continue
-            timing = fut.timing()
-            net[0] += timing[0]
-            net[1] += timing[1]
-            net[2] += timing[2]
-            break
         else:
             outcome.error = last_error
         outcome.elapsed = time.perf_counter() - start
-        outcome.connect_seconds, outcome.send_seconds, outcome.wait_seconds = net
+        outcome.connect_seconds, outcome.send_seconds, outcome.wait_seconds = (
+            take_timings()
+        )
         return outcome

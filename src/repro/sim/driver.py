@@ -29,17 +29,6 @@ class WorkloadResult:
     metrics: MetricsCollector
     makespan: float
 
-    @property
-    def aggregate_write_throughput(self) -> float:
-        writes = self.metrics.aggregate_throughput("write")
-        appends = self.metrics.aggregate_throughput("append")
-        # Writes and appends never run in the same driver; return whichever is set.
-        return writes if writes > 0 else appends
-
-    @property
-    def aggregate_read_throughput(self) -> float:
-        return self.metrics.aggregate_throughput("read")
-
 
 def build_cluster(
     config: Optional[BlobSeerConfig] = None,

@@ -97,13 +97,6 @@ class MetricsCollector:
             return 0.0
         return self.total_bytes(kind) / span
 
-    def per_client_throughput(self, kind: Optional[str] = None) -> Dict[str, float]:
-        """Mean single-operation throughput per client (B/s)."""
-        per_client: Dict[str, List[float]] = {}
-        for r in self.successful(kind):
-            per_client.setdefault(r.client_id, []).append(r.throughput)
-        return {cid: float(np.mean(vals)) for cid, vals in per_client.items()}
-
     def latency_stats(self, kind: Optional[str] = None) -> Dict[str, float]:
         durations = np.array([r.duration for r in self.successful(kind)], dtype=float)
         if durations.size == 0:

@@ -8,7 +8,7 @@ Two primitives cover everything the BlobSeer protocols need:
   throughput shapes the experiments measure).
 * :class:`ServiceStation` — a convenience wrapper around a resource that
   serves fixed-duration jobs and keeps utilisation statistics (busy time,
-  jobs served, total queueing delay), which the benchmark reports use to
+  jobs served, bytes served), which the benchmark reports use to
   explain *where* the bottleneck is.
 """
 
@@ -30,23 +30,10 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiting: Deque[Event] = deque()
-        #: cumulative statistics
-        self.total_requests = 0
-        self.total_wait_time = 0.0
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiting)
 
     def request(self) -> Event:
         """Return an event that triggers once a slot is granted."""
-        self.total_requests += 1
         grant = self.env.event()
-        grant._requested_at = self.env.now  # type: ignore[attr-defined]
         if self._in_use < self.capacity:
             self._in_use += 1
             grant.succeed()
@@ -59,9 +46,7 @@ class Resource:
         if self._in_use <= 0:
             raise RuntimeError("release without a matching request")
         if self._waiting:
-            grant = self._waiting.popleft()
-            self.total_wait_time += self.env.now - grant._requested_at  # type: ignore[attr-defined]
-            grant.succeed()
+            self._waiting.popleft().succeed()
         else:
             self._in_use -= 1
 
@@ -107,8 +92,3 @@ class ServiceStation:
         if horizon <= 0:
             return 0.0
         return self.busy_time / (horizon * self.resource.capacity)
-
-    def mean_wait(self) -> float:
-        if self.jobs_served == 0:
-            return 0.0
-        return self.resource.total_wait_time / self.jobs_served

@@ -22,10 +22,13 @@ import time
 
 import pytest
 
-from repro.core import BlobSeerConfig, ReadOp
+from repro.core import AppendOp, BlobSeerConfig, ReadOp, WriteOp
 from repro.core.deployment import make_deployment
 from repro.core.errors import BlobNotFoundError, InvalidRangeError
-from repro.net import NetworkError, ProcessDeployment, RpcClient
+from repro.core.transport import ChunkFetch, ChunkPush
+from repro.core.types import ChunkKey
+from repro.net import NetworkError, NetworkTransport, ProcessDeployment, RpcClient
+from repro.net.rpc import take_timings
 
 # Re-collect the transport-agnostic batch-API suites against the networked
 # deployment (their `deployment`/`client` fixture requests resolve to the
@@ -120,6 +123,50 @@ class TestNetPhaseTimings:
         assert result.ok
         assert result.timing.wait_seconds > 0.0
         assert len(result.timing.fragment_fetch_seconds) == 2
+
+    def test_submit_ops_takes_every_charge_it_makes(self, client):
+        blob = client.create_blob()
+        blob.append(b"s" * CHUNK)
+        take_timings()
+        results = client.submit_ops(
+            [
+                AppendOp(blob.blob_id, b"a" * CHUNK),
+                WriteOp(blob.blob_id, 0, b"w" * CHUNK),
+                ReadOp(blob.blob_id, 0, CHUNK),
+            ]
+        )
+        # Every request the batch resolved on this thread was taken into
+        # some op's timing: nothing is left over for a later batch.
+        assert take_timings() == (0.0, 0.0, 0.0)
+        for result in results:
+            assert result.ok
+            assert result.timing.wait_seconds > 0.0
+
+    def test_transfer_outcomes_carry_their_own_wait(self, deployment):
+        transport = NetworkTransport.for_deployment(deployment)
+        providers = sorted(deployment.provider_rpcs)[:2]
+        keys = [ChunkKey(987_654, 900_000 + n, 0) for n in range(len(providers))]
+        take_timings()
+        pushes, _ = transport.transfer(
+            [
+                ChunkPush(index, (pid,), key, b"t" * CHUNK)
+                for index, (pid, key) in enumerate(zip(providers, keys))
+            ],
+            [],
+        )
+        assert take_timings() == (0.0, 0.0, 0.0)
+        _, fetches = transport.transfer(
+            [],
+            [
+                ChunkFetch(index, (pid,), key, CHUNK)
+                for index, (pid, key) in enumerate(zip(providers, keys))
+            ],
+        )
+        assert take_timings() == (0.0, 0.0, 0.0)
+        for outcome in [*pushes, *fetches]:
+            assert outcome.error is None
+            assert outcome.wait_seconds > 0.0
+        assert [f.payload for f in fetches] == [b"t" * CHUNK] * 2
 
 
 class TestRpcFailover:

@@ -5,8 +5,8 @@ Three layers of proof:
 * **unit** — log-bucketed histograms merge exactly (bucket counts are
   additive) and their percentiles stay inside the bucket-growth error bound
   against numpy's exact answer; trace contexts round-trip the wire form;
-  the keyed timing ledger drains by request-id set instead of drain order
-  (the ``OpTiming`` attribution-drift fix);
+  each request's network seconds land in the tally of the thread that
+  resolved it, once;
 * **wire** — every role answers ``metrics``/``trace_spans``/``slow_ops``
   next to ``health``, under both codecs, and ``health`` now carries vitals
   (role, uptime, serving state, process RSS);
@@ -26,6 +26,7 @@ import random
 import subprocess
 import sys
 import threading
+from concurrent.futures import Future as ConcurrentFuture
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ from repro.core import BlobSeerConfig
 from repro.core.deployment import make_deployment
 from repro.core.errors import InvalidConfigError
 from repro.net.frames import HAVE_MSGPACK
-from repro.net.rpc import RpcClient, _charge, _new_timing_key, drain_timings, timing_scope
+from repro.net import wire
+from repro.net.rpc import RpcClient, RpcFuture, _charge, take_timings
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.qos.monitoring import FEATURE_NAMES, sample_from_metrics
@@ -112,54 +114,54 @@ class TestHistogram:
 
 
 # ---------------------------------------------------------------------------
-# Keyed timing ledger: the OpTiming attribution-drift fix
+# The per-thread timing tally: where every request's network seconds go
 # ---------------------------------------------------------------------------
 
 
-class TestKeyedTimingLedger:
-    def test_scope_drains_its_keys_even_when_charged_elsewhere(self):
-        drain_timings()
-        with timing_scope() as scope:
-            key = _new_timing_key()
-            # The reactor resolves futures on its own thread; the charge
-            # must still drain here, by key, not by drain order.
-            thread = threading.Thread(target=_charge, args=(key, 1.0, 2.0, 3.0))
-            thread.start()
-            thread.join()
-        assert scope.drain() == (1.0, 2.0, 3.0)
-        assert scope.drain() == (0.0, 0.0, 0.0)  # never double-charged
-        assert drain_timings() == (0.0, 0.0, 0.0)
+class TestTimingTally:
+    def test_take_returns_only_the_calling_threads_charges(self):
+        take_timings()
+        taken = {}
 
-    def test_concurrent_scopes_cannot_steal_each_other(self):
-        drain_timings()
-        results = {}
-        barrier = threading.Barrier(2)
+        def worker():
+            _charge(10.0, 20.0, 30.0)
+            taken["worker"] = take_timings()
 
-        def worker(name, c):
-            with timing_scope() as scope:
-                key = _new_timing_key()
-                barrier.wait()  # both scopes open before either charges
-                _charge(key, c, 0.0, 0.0)
-                barrier.wait()
-            results[name] = scope.drain()
+        _charge(0.5, 0.25, 0.125)
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        _charge(0.5, 0.25, 0.125)
+        assert taken["worker"] == (10.0, 20.0, 30.0)
+        assert take_timings() == (1.0, 0.5, 0.25)
+        assert take_timings() == (0.0, 0.0, 0.0)  # a take resets
 
-        threads = [
-            threading.Thread(target=worker, args=("a", 1.0)),
-            threading.Thread(target=worker, args=("b", 10.0)),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert results["a"] == (1.0, 0.0, 0.0)
-        assert results["b"] == (10.0, 0.0, 0.0)
+    def test_result_called_twice_charges_once(self):
+        reply = ConcurrentFuture()
+        reply.set_result(({"result": wire.encode("ok")}, (1.0, 2.0, 3.0)))
+        future = RpcFuture(reply, default_timeout=5.0)
+        take_timings()
+        assert future.result() == "ok"
+        assert future.result() == "ok"
+        assert take_timings() == (1.0, 2.0, 3.0)
 
-    def test_plain_drain_collects_thread_owned_keyed_charges(self):
-        drain_timings()
-        key = _new_timing_key()  # no scope open: owned by this thread
-        _charge(key, 0.5, 0.25, 0.125)
-        assert drain_timings() == (0.5, 0.25, 0.125)
-        assert drain_timings() == (0.0, 0.0, 0.0)
+    def test_call_many_charges_its_caller(self, meta_server):
+        take_timings()
+        taken = {}
+
+        def caller():
+            with RpcClient([meta_server]) as rpc:
+                assert rpc.call_many([("ping", None)] * 4) == [True] * 4
+            taken["caller"] = take_timings()
+
+        thread = threading.Thread(target=caller)
+        thread.start()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        connect, send, wait = taken["caller"]
+        assert wait > 0.0 and send >= 0.0 and connect >= 0.0
+        assert take_timings() == (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +273,16 @@ def _spawn_meta_server():
 CODECS = ["json"] + (["msgpack"] if HAVE_MSGPACK else [])
 
 
-class TestObsRpcSurface:
-    @pytest.fixture(scope="class")
-    def meta_server(self):
-        proc, address = _spawn_meta_server()
-        yield address
-        proc.kill()
-        proc.wait(timeout=5.0)
-        proc.stdout.close()
+@pytest.fixture(scope="module")
+def meta_server():
+    proc, address = _spawn_meta_server()
+    yield address
+    proc.kill()
+    proc.wait(timeout=5.0)
+    proc.stdout.close()
 
+
+class TestObsRpcSurface:
     @pytest.mark.parametrize("codec", CODECS)
     def test_metrics_rpc_round_trips(self, meta_server, codec):
         with RpcClient([meta_server], codec=codec) as rpc:
