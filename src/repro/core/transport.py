@@ -75,7 +75,9 @@ class ChunkFetch:
     op_index: int
     providers: Tuple[str, ...]
     key: ChunkKey
-    #: Bytes of the fragment actually needed (what travels on the wire).
+    #: Bytes of the fragment the read needs.  Every transport fetches the
+    #: whole chunk; this only sizes the transfer for DirectTransport's
+    #: parallelism threshold.
     length: int
     #: Trace context of the owning batch op (see :class:`ChunkPush`).
     trace: Optional[Any] = None

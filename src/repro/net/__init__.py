@@ -13,8 +13,9 @@ flipping ``config.transport`` to ``"network"``.
 
 Layers, bottom up:
 
-* :mod:`repro.net.frames` — length-prefixed frame codec (JSON, optionally
-  msgpack) with request ids, so one connection pipelines many requests;
+* :mod:`repro.net.frames` — length-prefixed frames: a codec-encoded header
+  (JSON, optionally msgpack) followed by the payload bytes raw, with request
+  ids, so one connection pipelines many requests;
 * :mod:`repro.net.wire` — value serialisation for the protocol's types
   (chunk/node keys, tickets, plans, tree nodes) and its exceptions;
 * :mod:`repro.net.rpc` — the one RPC client, ``RpcClient``: an asyncio

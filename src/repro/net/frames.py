@@ -2,22 +2,26 @@
 
 A frame on the wire is::
 
-    4 bytes   payload length N, big endian (codec byte included)
+    4 bytes   frame length N, big endian (everything below)
     1 byte    codec tag: b"J" (JSON) or b"M" (msgpack)
-    N-1 bytes the encoded message body
+    4 bytes   header length H, big endian
+    H bytes   header: the codec-encoded message
+    N-5-H     raw payload segments, back to back
 
 Messages are plain dicts — requests ``{"id", "method", "params"}`` and
-responses ``{"id", "result"}`` / ``{"id", "error"}`` — with every value
-pre-flattened by :mod:`repro.net.wire` to JSON-compatible structures, so
-the two codecs are interchangeable byte-for-byte at this layer.  The
-request id is what buys pipelining: many requests may be in flight on one
-connection and responses may return out of order; the id matches them up.
+responses ``{"id", "result"}`` / ``{"id", "error"}`` — pre-flattened by
+:mod:`repro.net.wire` to JSON-compatible values plus ``bytes``.  On JSON,
+:func:`encode_frame` detaches every ``bytes``/``bytearray``/``memoryview``
+into a raw segment, leaving a ``{"__s": [offset, length]}`` placeholder
+in the header, and :class:`FrameDecoder` puts the bytes back; msgpack
+carries bytes natively (``bin``), so its frames have no segments.  The
+request id is what buys pipelining: responses may return out of order on
+one connection and the id matches them up.
 
-msgpack is optional (the dependency is not vendored): frames default to
-JSON and the msgpack codec is only selectable when the import succeeds.
-:class:`FrameDecoder` is an incremental parser — feed it whatever the
-socket returned, including torn frames split mid-header or mid-body, and
-it yields each message exactly once when its last byte arrives.
+msgpack is optional (not vendored): frames default to JSON.
+:class:`FrameDecoder` is incremental — feed it whatever the socket
+returned, frames torn anywhere included, and it yields each message
+exactly once when its last byte arrives.
 """
 
 from __future__ import annotations
@@ -34,47 +38,92 @@ except ImportError:  # pragma: no cover - the common case in this tree
     msgpack = None
     HAVE_MSGPACK = False
 
-#: Codec tags (the first payload byte of every frame).
+#: Codec tags (the first byte after the length prefix).
 CODEC_JSON = b"J"
 CODEC_MSGPACK = b"M"
 
 #: Refuse frames above this size — a corrupted length prefix must not make
-#: the decoder try to buffer gigabytes (64 MiB fits any chunk the tests
-#: and benchmarks move, base64-expanded).
+#: the decoder try to buffer gigabytes (any chunk the tests and benchmarks
+#: move fits, its bytes carried raw).
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
-_HEADER = struct.Struct(">I")
+#: Header key of a segment placeholder; ``wire`` tags use ``__t``.
+SEGMENT_TAG = "__s"
+#: How every JSON placeholder starts: frames without it skip the resolver.
+_PLACEHOLDER = '{"%s":' % SEGMENT_TAG
+
+#: The length prefix alone, and the whole fixed head (length, tag, header length).
+_LENGTH = struct.Struct(">I")
+_HEAD = struct.Struct(">IcI")
 
 
 class FrameError(ValueError):
-    """A frame violated the protocol (bad codec tag, oversized length)."""
+    """A frame violated the protocol (bad tag or length, a stray segment)."""
 
 
 def encode_frame(message: Dict[str, Any], codec: str = "json") -> bytes:
     """Serialise one message dict into a length-prefixed frame."""
+    segments: List[memoryview] = []
+    size = 0
     if codec == "json":
-        body = CODEC_JSON + json.dumps(message, separators=(",", ":")).encode("utf-8")
+        def detach(value: Any) -> Dict[str, List[int]]:
+            nonlocal size
+            if not isinstance(value, (bytes, bytearray, memoryview)):
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            segment = memoryview(value)
+            segments.append(segment)
+            size += segment.nbytes
+            return {SEGMENT_TAG: [size - segment.nbytes, segment.nbytes]}
+
+        tag = CODEC_JSON
+        header = json.dumps(message, separators=(",", ":"), default=detach).encode("utf-8")
     elif codec == "msgpack":
         if not HAVE_MSGPACK:
             raise FrameError("msgpack codec requested but msgpack is not installed")
-        body = CODEC_MSGPACK + msgpack.packb(message, use_bin_type=True)
+        tag, header = CODEC_MSGPACK, msgpack.packb(message, use_bin_type=True)
     else:
         raise FrameError(f"unknown frame codec {codec!r}")
-    return _HEADER.pack(len(body)) + body
+    head = _HEAD.pack(_HEAD.size - _LENGTH.size + len(header) + size, tag, len(header))
+    return b"".join([head, header, *segments])
 
 
-def decode_body(body: bytes) -> Dict[str, Any]:
-    """Decode one frame payload (codec byte + encoded message)."""
-    if not body:
-        raise FrameError("empty frame payload")
-    tag, encoded = body[:1], body[1:]
+def _decode(buffer: bytearray, start: int, end: int) -> Dict[str, Any]:
+    """Decode the frame ``buffer[start:end]``, putting its segments back."""
+    _, tag, header_size = _HEAD.unpack_from(buffer, start)
+    segments_start = start + _HEAD.size + header_size
+    if segments_start > end:
+        raise FrameError("frame header runs past the frame's end")
+    header = buffer[start + _HEAD.size : segments_start]
     if tag == CODEC_JSON:
-        return json.loads(encoded.decode("utf-8"))
+        text = header.decode("utf-8")
+        if _PLACEHOLDER in text:
+            # This view must die with the call: ``feed`` then trims the
+            # buffer, and a bytearray cannot resize while a view exports it.
+            area = memoryview(buffer)[segments_start:end]
+            return json.loads(text, object_hook=lambda obj: _attach(obj, area))
+    if segments_start < end:
+        raise FrameError(f"{end - segments_start} segment bytes but no placeholder")
+    if tag == CODEC_JSON:
+        return json.loads(text)
     if tag == CODEC_MSGPACK:
         if not HAVE_MSGPACK:
             raise FrameError("received a msgpack frame but msgpack is not installed")
-        return msgpack.unpackb(encoded, raw=False)
+        return msgpack.unpackb(bytes(header), raw=False)
     raise FrameError(f"unknown frame codec tag {tag!r}")
+
+
+def _attach(obj: Dict[str, Any], area: memoryview) -> Any:
+    """``object_hook``: swap a segment placeholder for its bytes."""
+    ref = obj.get(SEGMENT_TAG)
+    if ref is None:
+        return obj
+    try:
+        offset, length = ref
+        if offset < 0 or length < 0 or offset + length > len(area):
+            raise ValueError
+        return area[offset : offset + length].tobytes()
+    except (TypeError, ValueError):
+        raise FrameError(f"placeholder {ref!r} names no segment in {len(area)} bytes") from None
 
 
 class FrameDecoder:
@@ -89,19 +138,20 @@ class FrameDecoder:
         self._buffer = bytearray()
 
     def feed(self, data: bytes) -> List[Dict[str, Any]]:
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer.extend(data)
         messages: List[Dict[str, Any]] = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
+        done = 0
+        while len(buffer) - done >= _LENGTH.size:
+            (length,) = _LENGTH.unpack_from(buffer, done)
+            if not _HEAD.size - _LENGTH.size <= length <= MAX_FRAME_BYTES:
+                raise FrameError(f"frame length {length} is out of range")
+            end = done + _LENGTH.size + length
+            if len(buffer) < end:
                 break
-            (length,) = _HEADER.unpack_from(self._buffer)
-            if length > MAX_FRAME_BYTES:
-                raise FrameError(f"frame of {length} bytes exceeds MAX_FRAME_BYTES")
-            if len(self._buffer) < _HEADER.size + length:
-                break
-            body = bytes(self._buffer[_HEADER.size : _HEADER.size + length])
-            del self._buffer[: _HEADER.size + length]
-            messages.append(decode_body(body))
+            messages.append(_decode(buffer, done, end))
+            done = end
+        del buffer[:done]
         return messages
 
     @property

@@ -533,6 +533,16 @@ class RpcClient:
         return out
 
     # -- calls ---------------------------------------------------------------------
+    def _frame(
+        self, method: str, params: Optional[Dict[str, Any]], envelope: Optional[List[str]]
+    ) -> Tuple[int, bytes]:
+        """Encode one request under a fresh id, with an optional trace envelope."""
+        request_id = next(self._ids)
+        message = {"id": request_id, "method": method, "params": wire.encode(params or {})}
+        if envelope is not None:
+            message[wire.TRACE_KEY] = envelope
+        return request_id, encode_frame(message, codec=self.codec)
+
     def submit(
         self,
         method: str,
@@ -548,17 +558,11 @@ class RpcClient:
         """
         if self._closed:
             raise NetworkError("rpc client is closed")
-        request_id = next(self._ids)
-        message = {
-            "id": request_id,
-            "method": method,
-            "params": wire.encode(params or {}),
-        }
         if trace is None:
             trace = obs_trace.current_context()
-        if trace is not None:
-            message[wire.TRACE_KEY] = wire.encode_trace(trace)
-        frame = encode_frame(message, codec=self.codec)
+        request_id, frame = self._frame(
+            method, params, list(trace.to_wire()) if trace is not None else None
+        )
         cfuture = get_reactor().submit(self._call_async(method, request_id, frame))
         return RpcFuture(cfuture, self._result_cap)
 
@@ -585,20 +589,10 @@ class RpcClient:
         if self._closed:
             raise NetworkError("rpc client is closed")
         trace = obs_trace.current_context()
-        envelope = wire.encode_trace(trace) if trace is not None else None
-        prepared = []
-        for method, params in requests:
-            request_id = next(self._ids)
-            message = {
-                "id": request_id,
-                "method": method,
-                "params": wire.encode(params or {}),
-            }
-            if envelope is not None:
-                message[wire.TRACE_KEY] = envelope
-            prepared.append(
-                (method, request_id, encode_frame(message, codec=self.codec))
-            )
+        envelope = list(trace.to_wire()) if trace is not None else None
+        prepared = [
+            (method, *self._frame(method, params, envelope)) for method, params in requests
+        ]
 
         async def run_all():
             return await asyncio.gather(

@@ -162,9 +162,9 @@ def provider_handlers(
         reg.counter("provider_put_bytes").inc(len(data))
         return result
 
-    def get_chunk(key: Any, *args: Any, **kwargs: Any) -> bytes:
+    def get_chunk(key: Any) -> bytes:
         started = time.perf_counter()
-        data = provider.get_chunk(key, *args, **kwargs)
+        data = provider.get_chunk(key)
         reg = obs_metrics.registry()
         reg.histogram("provider_get_seconds").record(time.perf_counter() - started)
         reg.counter("provider_get_bytes").inc(len(data))
@@ -743,7 +743,7 @@ class RpcServer:
                 raise ValueError(f"unknown method {method!r}")
             tracer = obs_trace.tracer()
             ctx = (
-                wire.decode_trace(message.get(wire.TRACE_KEY))
+                obs_trace.TraceContext.from_wire(message.get(wire.TRACE_KEY))
                 if tracer.enabled
                 else None
             )

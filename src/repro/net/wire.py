@@ -10,7 +10,8 @@ so the framing layer stays codec-agnostic:
   fields, rebuilt through a per-type constructor table (tuple-typed fields
   are restored as tuples, so decoded values compare equal to the
   originals);
-* ``bytes`` — ``{"__b": "<base64>"}``;
+* ``bytes`` — passed through untouched: the frame layer carries them as
+  raw segments (:mod:`repro.net.frames`), never inside the JSON;
 * dicts — ``{"__t": "map", "v": [[k, v], ...]}`` pair lists, because the
   protocol's dicts are keyed by node keys, not strings;
 * exceptions — ``{"__t": "exc", "cls": ..., "args": [...]}``.  The
@@ -25,11 +26,10 @@ so the framing layer stays codec-agnostic:
 
 from __future__ import annotations
 
-import base64
+import dataclasses
 from typing import Any, Callable, Dict, List, Tuple, Type
 
 from ..core import errors
-from ..obs.trace import TraceContext
 from ..core.metadata.segment_tree import WriteRecord
 from ..core.metadata.tree_node import Fragment, InnerNode, LeafNode
 from ..resilience.journal import JournalRecord
@@ -49,98 +49,38 @@ class WireError(ValueError):
 
 
 # -- dataclass tags ----------------------------------------------------------------
-# tag -> (type, field names in positional order, rebuild function)
+# tag (the class name) -> (type, field names in positional order, rebuild
+# function).  Tuple-typed fields are re-tupled by the explicit rebuilders.
 
-def _rebuild_write_plan(fields: List[Any]) -> WritePlan:
-    blob_id, chunk_size, placements = fields
-    return WritePlan(
-        blob_id=blob_id,
-        chunk_size=chunk_size,
-        placements=tuple((off, tuple(providers)) for off, providers in placements),
-    )
-
-
-def _rebuild_fragment(fields: List[Any]) -> Fragment:
-    key, providers, blob_offset, length, chunk_offset = fields
-    return Fragment(
-        key=key,
-        providers=tuple(providers),
-        blob_offset=blob_offset,
-        length=length,
-        chunk_offset=chunk_offset,
-    )
-
-
-def _rebuild_leaf(fields: List[Any]) -> LeafNode:
-    key, fragments = fields
-    return LeafNode(key=key, fragments=tuple(fragments))
-
+_REBUILD: Dict[type, Callable[[List[Any]], Any]] = {
+    ChunkDescriptor: lambda f: ChunkDescriptor(f[0], f[1], f[2], tuple(f[3])),
+    WritePlan: lambda f: WritePlan(
+        f[0], f[1], tuple((off, tuple(providers)) for off, providers in f[2])
+    ),
+    Fragment: lambda f: Fragment(f[0], tuple(f[1]), f[2], f[3], f[4]),
+    LeafNode: lambda f: LeafNode(f[0], tuple(f[1])),
+}
 
 _TYPES: Dict[str, Tuple[type, Tuple[str, ...], Callable[[List[Any]], Any]]] = {
-    "ChunkKey": (
+    cls.__name__: (
+        cls,
+        tuple(field.name for field in dataclasses.fields(cls)),
+        _REBUILD.get(cls, lambda f, cls=cls: cls(*f)),
+    )
+    for cls in (
         ChunkKey,
-        ("blob_id", "write_id", "offset"),
-        lambda f: ChunkKey(*f),
-    ),
-    "NodeKey": (
         NodeKey,
-        ("blob_id", "version", "offset", "size"),
-        lambda f: NodeKey(*f),
-    ),
-    "WriteTicket": (
         WriteTicket,
-        (
-            "blob_id",
-            "version",
-            "offset",
-            "size",
-            "is_append",
-            "new_blob_size",
-            "base_blob_size",
-        ),
-        lambda f: WriteTicket(*f),
-    ),
-    "SnapshotInfo": (
         SnapshotInfo,
-        ("blob_id", "version", "size", "chunk_size", "root"),
-        lambda f: SnapshotInfo(*f),
-    ),
-    "BlobInfo": (
         BlobInfo,
-        ("blob_id", "chunk_size", "replication"),
-        lambda f: BlobInfo(*f),
-    ),
-    "ChunkDescriptor": (
         ChunkDescriptor,
-        ("key", "offset", "size", "providers"),
-        lambda f: ChunkDescriptor(f[0], f[1], f[2], tuple(f[3])),
-    ),
-    "WritePlan": (
         WritePlan,
-        ("blob_id", "chunk_size", "placements"),
-        _rebuild_write_plan,
-    ),
-    "Fragment": (
         Fragment,
-        ("key", "providers", "blob_offset", "length", "chunk_offset"),
-        _rebuild_fragment,
-    ),
-    "LeafNode": (LeafNode, ("key", "fragments"), _rebuild_leaf),
-    "InnerNode": (
+        LeafNode,
         InnerNode,
-        ("key", "left", "right"),
-        lambda f: InnerNode(key=f[0], left=f[1], right=f[2]),
-    ),
-    "WriteRecord": (
         WriteRecord,
-        ("version", "offset", "size", "new_size"),
-        lambda f: WriteRecord(*f),
-    ),
-    "JournalRecord": (
         JournalRecord,
-        ("lsn", "op", "blob_id", "payload"),
-        lambda f: JournalRecord(lsn=f[0], op=f[1], blob_id=f[2], payload=f[3]),
-    ),
+    )
 }
 
 _TAG_OF: Dict[type, str] = {cls: tag for tag, (cls, _, _) in _TYPES.items()}
@@ -172,11 +112,9 @@ _EXCEPTIONS: Dict[str, Type[BaseException]] = {
 
 
 def encode(value: Any) -> Any:
-    """Flatten ``value`` into JSON-compatible structures."""
-    if value is None or isinstance(value, (bool, int, float, str)):
+    """Flatten ``value`` into JSON-compatible structures plus ``bytes``."""
+    if value is None or isinstance(value, (bool, int, float, str, bytes, bytearray, memoryview)):
         return value
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        return {"__b": base64.b64encode(bytes(value)).decode("ascii")}
     tag = _TAG_OF.get(type(value))
     if tag is not None:
         _, field_names, _ = _TYPES[tag]
@@ -206,8 +144,6 @@ def decode(value: Any) -> Any:
         return [decode(item) for item in value]
     if not isinstance(value, dict):
         return value
-    if "__b" in value:
-        return base64.b64decode(value["__b"])
     tag = value.get("__t")
     if tag == "map":
         return {decode(k): decode(v) for k, v in value["v"]}
@@ -227,22 +163,11 @@ def decode(value: Any) -> Any:
 # A trace context rides the *frame envelope* (next to "id"/"method"), not the
 # wire-encoded params, as a compact ["trace_id", "span_id"] pair: both codecs
 # pass plain string lists through untouched and untraced requests pay nothing.
+# ``TraceContext.to_wire`` / ``from_wire`` flatten and rebuild it (a missing
+# or malformed pair rebuilds to None).
 
 #: Envelope key carrying the caller's trace context in request messages.
 TRACE_KEY = "tr"
-
-
-def encode_trace(ctx: TraceContext) -> List[str]:
-    """Flatten a trace context for a frame envelope."""
-    trace_id, span_id = ctx.to_wire()
-    return [trace_id, span_id]
-
-
-def decode_trace(value: Any) -> "TraceContext | None":
-    """Rebuild an envelope trace context; malformed values decode to None."""
-    if value is None:
-        return None
-    return TraceContext.from_wire(value)
 
 
 def _decode_exception(value: Dict[str, Any]) -> BaseException:

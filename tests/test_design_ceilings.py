@@ -16,7 +16,7 @@ from repro.net.server import ROLES
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Lines in ``src/**/*.py``.
-SRC_LINES = 18_011
+SRC_LINES = 17_983
 #: ``except Exception`` sites in ``src/``: each one treats a bug like a fault.
 EXCEPT_EXCEPTION_SITES = 34
 #: Independently settable configuration values.

@@ -1,17 +1,21 @@
 """Wire-format tests for the networked service mode (:mod:`repro.net`).
 
 Frame layer: length-prefixed encode/decode, torn-frame reassembly,
-protocol violations.  Value layer: every protocol dataclass round-trips
-through :func:`repro.net.wire.encode` / ``decode`` compare-equal, bytes
+payload bytes carried raw (on every codec installed), the wire size of a
+64 KiB chunk frame, protocol violations.  Value layer: every protocol
+dataclass round-trips through :func:`repro.net.wire.encode` / ``decode`` compare-equal, bytes
 and non-string-keyed dicts survive, and exceptions are rebuilt by class
 (unknown classes degrade to ``ServiceError`` without losing the text).
 """
 
 from __future__ import annotations
 
+import os
+import struct
+
 import pytest
 
-from repro.core import errors
+from repro.core import BlobSeerConfig, errors
 from repro.core.metadata.segment_tree import WriteRecord
 from repro.core.metadata.tree_node import Fragment, InnerNode, LeafNode
 from repro.core.types import (
@@ -31,6 +35,17 @@ from repro.net.frames import (
     encode_frame,
 )
 from repro.net import wire
+from repro.net.server import RpcServer, provider_handlers
+from repro.obs.trace import TraceContext
+
+CODECS = ["json"] + (["msgpack"] if HAVE_MSGPACK else [])
+CHUNK = 64 * 1024
+
+
+def json_frame(header: bytes, segments: bytes = b"") -> bytes:
+    """A hand-built JSON frame: length, codec tag, header length, header, segments."""
+    body = b"J" + struct.pack(">I", len(header)) + header + segments
+    return struct.pack(">I", len(body)) + body
 
 
 class TestFrames:
@@ -60,16 +75,17 @@ class TestFrames:
         assert decoder.feed(stream[-1:]) == messages[-1:]
 
     def test_oversized_length_prefix_rejected(self):
-        import struct
-
         decoder = FrameDecoder()
         with pytest.raises(FrameError):
             decoder.feed(struct.pack(">I", MAX_FRAME_BYTES + 1))
 
     def test_unknown_codec_tag_rejected(self):
-        import struct
+        body = b"X" + struct.pack(">I", 2) + b"{}"
+        with pytest.raises(FrameError):
+            FrameDecoder().feed(struct.pack(">I", len(body)) + body)
 
-        body = b"X" + b"{}"
+    def test_length_shorter_than_the_frame_head_rejected(self):
+        body = b"J" + b"{}"
         with pytest.raises(FrameError):
             FrameDecoder().feed(struct.pack(">I", len(body)) + body)
 
@@ -86,6 +102,92 @@ class TestFrames:
         else:
             with pytest.raises(FrameError):
                 encode_frame({}, codec="msgpack")
+
+
+class TestPayloadSegments:
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_two_segments_torn_mid_segment_fed_byte_by_byte(self, codec):
+        first, second = os.urandom(300), bytes(range(256)) * 2
+        message = {"id": 3, "params": wire.encode({"a": first, "b": [1, second]})}
+        stream = encode_frame(message, codec=codec) + encode_frame({"id": 4}, codec=codec)
+        decoder = FrameDecoder()
+        out = []
+        for i in range(len(stream)):
+            out.extend(decoder.feed(stream[i : i + 1]))
+        assert out == [message, {"id": 4}]
+        assert wire.decode(out[0]["params"]) == {"a": first, "b": [1, second]}
+        assert decoder.pending_bytes == 0
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_empty_bytes_value(self, codec):
+        message = {"id": 1, "result": b""}
+        assert FrameDecoder().feed(encode_frame(message, codec=codec)) == [message]
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_bytes_nested_in_a_map_keyed_by_node_key(self, codec):
+        mapping = {
+            NodeKey(blob_id=1, version=1, offset=0, size=64): b"\x00" * 64,
+            NodeKey(blob_id=1, version=2, offset=64, size=64): bytearray(b"\xff" * 64),
+            NodeKey(blob_id=1, version=3, offset=128, size=64): memoryview(b"abc"),
+        }
+        frame = encode_frame({"id": 2, "result": wire.encode(mapping)}, codec=codec)
+        [message] = FrameDecoder().feed(frame)
+        decoded = wire.decode(message["result"])
+        assert decoded == {key: bytes(value) for key, value in mapping.items()}
+        assert all(type(value) is bytes for value in decoded.values())
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_64k_chunk_frames_carry_the_payload_raw(self, codec):
+        # Built exactly as RpcClient.submit and RpcServer._handle build them,
+        # trace envelope included; the server is the real provider role.
+        server = RpcServer(provider_handlers(0, BlobSeerConfig()), codec=codec)
+        key, data = ChunkKey(blob_id=1, write_id=1, offset=0), os.urandom(CHUNK)
+        trace = list(TraceContext.root().to_wire())
+        put = encode_frame(
+            {
+                "id": 1,
+                "method": "put_chunk",
+                "params": wire.encode({"key": key, "data": data}),
+                wire.TRACE_KEY: trace,
+            },
+            codec=codec,
+        )
+        [request] = FrameDecoder().feed(put)
+        assert "error" not in server._handle(request)
+        get = {"id": 2, "method": "get_chunk", "params": wire.encode({"key": key})}
+        [request] = FrameDecoder().feed(encode_frame(get, codec=codec))
+        response = encode_frame(server._handle(request), codec=codec)
+        assert len(put) <= CHUNK + 256
+        assert len(response) <= CHUNK + 256
+        [reply] = FrameDecoder().feed(response)
+        assert wire.decode(reply["result"]) == data
+
+
+class TestMalformedSegments:
+    @pytest.mark.parametrize(
+        "header, segments",
+        [
+            (b'{"id":1,"result":{"__s":[2,4]}}', b"abcd"),  # past the frame's end
+            (b'{"id":1,"result":{"__s":[0,-1]}}', b"abcd"),  # negative length
+            (b'{"id":1,"result":{"__s":[-1,2]}}', b"abcd"),  # negative offset
+            (b'{"id":1,"result":{"__s":[0,4]}}', b""),  # placeholder, no segment
+            (b'{"id":1,"result":{"__s":"abcd"}}', b"abcd"),  # not an (offset, length)
+            (b'{"id":1,"result":{"__s":[0]}}', b"abcd"),
+            (b'{"id":1,"result":"abcd"}', b"abcd"),  # segment, no placeholder
+        ],
+    )
+    def test_bad_segment_reference_raises(self, header, segments):
+        with pytest.raises(FrameError):
+            FrameDecoder().feed(json_frame(header, segments))
+
+    def test_header_length_past_the_frame_raises(self):
+        body = b"J" + struct.pack(">I", 99) + b"{}"
+        with pytest.raises(FrameError):
+            FrameDecoder().feed(struct.pack(">I", len(body)) + body)
+
+    def test_well_formed_hand_built_frame_decodes(self):
+        frame = json_frame(b'{"id":1,"result":{"__s":[1,2]}}', b"abcd")
+        assert FrameDecoder().feed(frame) == [{"id": 1, "result": b"bc"}]
 
 
 def round_trip(value):
